@@ -53,12 +53,12 @@ from .nogo import (
     Certificate,
     ConstraintSystem,
     VerificationError,
-    build_prep_system,
     gleason_contradiction,
     meas_nogo,
     od_unsharp_contradiction,
     pointwise_feasibility,
     prep_nogo,
+    system_from_theory,
     transf_nogo,
     trivial_povm_forced_indicator,
 )

@@ -4,7 +4,7 @@ Subcommands run the no-go drivers, certify user-supplied instances, run
 model simulations, and emit the hexagon-geometry figure.  Machine-readable
 output goes to ``--out`` (stdout when omitted, in which case the one-line
 human summary moves to stderr).  Exit codes: 0 success or expected verdict,
-1 internal error, 2 input error, 3 a feasibility query came back Feasible,
+1 internal error, 2 input error, 3 a feasibility query came back Infeasible,
 4 a verification deviated from its expected outcome.
 """
 
@@ -12,22 +12,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import nogo
 from .bbmodel import BBPreparation, PureOnticState, bb_simulate
-from .operational import OperationalTheory, hexagon_state_vectors, prep_equivalent
-from .qmath import Effect, Povm, identity, matrix_from_json, pure_density
+from .operational import OperationalTheory, hexagon_state_vectors, hexagon_theory
+from .qmath import Effect, Povm, bloch_from_density, matrix_from_json
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_INPUT = 2
-EXIT_FEASIBLE = 3
+EXIT_INFEASIBLE = 3
 EXIT_DEVIATION = 4
 
 DEFAULT_SAMPLES = 100_000
@@ -132,42 +130,6 @@ def cmd_nogo(args: argparse.Namespace) -> int:
 # feasibility subcommand.
 
 
-def _system_from_theory(theory: OperationalTheory, tol: float) -> nogo.ConstraintSystem:
-    """Derive the pointwise system a noncontextual model of the theory must
-    solve: one variable per non-target preparation, disjointness from
-    orthogonality, one equality form per declared preparation mixture."""
-    decls = [d for d in theory.mixtures if d.kind == "prep"]
-    targets = {d.target for d in decls}
-    target_preps = [theory.preparations[t] for t in sorted(targets)]
-    for i in range(1, len(target_preps)):
-        if not prep_equivalent(target_preps[0], target_preps[i], tol=tol):
-            raise InputError(
-                "mixture targets fall into more than one equivalence class; "
-                "this system type has a single family of mutually equal forms"
-            )
-    variables = [label for label in theory.preparations if label not in targets]
-    for d in decls:
-        for _, label in d.components:
-            if label in targets:
-                raise InputError(
-                    f"mixture component {label!r} is itself a mixture target; unsupported"
-                )
-    pairs = []
-    for i, u in enumerate(variables):
-        for v in variables[i + 1 :]:
-            product = theory.preparations[u].rho.matrix @ theory.preparations[v].rho.matrix
-            if float(np.abs(product).max()) <= tol:
-                pairs.append((u, v))
-    forms = []
-    for d in decls:
-        form = {}
-        for weight, label in d.components:
-            frac = Fraction(weight).limit_denominator(10**9)
-            form[label] = form.get(label, Fraction(0)) + frac
-        forms.append(form)
-    return nogo.ConstraintSystem(variables, pairs, forms)
-
-
 def cmd_feasibility(args: argparse.Namespace) -> int:
     try:
         text = Path(args.instance).read_text(encoding="utf-8")
@@ -187,7 +149,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             system = nogo.ConstraintSystem.from_json(doc)
         elif isinstance(doc, dict) and "preparations" in doc:
             theory = OperationalTheory.from_json(doc, tol=args.tol)
-            system = _system_from_theory(theory, tol=args.tol)
+            system = nogo.system_from_theory(theory, tol=args.tol)
         else:
             raise InputError("instance is neither a constraint system nor a theory")
         cert = nogo.pointwise_feasibility(system)
@@ -197,7 +159,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     doc_out = cert.to_json()
     summary = f"feasibility: {cert.verdict} ({len(cert.cases)} zero patterns)"
     _emit_doc(doc_out, args, summary)
-    return EXIT_OK if cert.feasible else EXIT_FEASIBLE
+    return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +193,17 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
 
 
 def _parse_povm_spec(spec: str) -> Povm:
-    vectors = hexagon_state_vectors()
     if spec.startswith("@"):
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
         effects = doc["effects"] if isinstance(doc, dict) else doc
         return Povm(tuple(Effect(matrix_from_json(m)) for m in effects))
-    antipodes = {"a": "A", "b": "B", "c": "C"}
-    if spec in antipodes:
-        first = pure_density(vectors[spec]).matrix
-        second = pure_density(vectors[antipodes[spec]]).matrix
-        return Povm((Effect(first), Effect(second)))
+    measurements = hexagon_theory().measurements
+    if spec in ("a", "b", "c"):
+        return measurements["M" + spec].povm
     if spec in ("trivial", "mixed"):
         # The uniform mixture of the three antipodal PVMs equals the
         # coin-flip POVM, so both names yield {I/2, I/2}.
-        return Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
+        return measurements["Mtrivial"].povm
     raise InputError(f"unknown POVM {spec!r}; choose a/b/c/mixed/trivial or @file")
 
 
@@ -279,16 +238,15 @@ def _disk_xy(x: float, z: float) -> tuple[float, float]:
 
 
 def render_bloch_disk_svg() -> str:
-    """SVG of the z-x great-circle disk with the six states, the three
-    antipodal segments, the two trine triangles, and the center marker."""
-    states = {
-        "a": (0.0, 1.0),
-        "A": (0.0, -1.0),
-        "b": (math.sqrt(3) / 2, -0.5),
-        "B": (-math.sqrt(3) / 2, 0.5),
-        "c": (-math.sqrt(3) / 2, -0.5),
-        "C": (math.sqrt(3) / 2, 0.5),
-    }
+    """SVG of the z-x great-circle disk with the hexagon theory's six states,
+    its two-member decompositions as segments and its three-member ones as
+    triangles, and the center marker."""
+    theory = hexagon_theory()
+    decls = [d for d in theory.mixtures if d.kind == "prep"]
+    states = {}
+    for label in nogo.system_from_theory(theory).variables:
+        x, _, z = bloch_from_density(theory.preparations[label].rho)
+        states[label] = (float(x), float(z))
     cx = cy = _FIGURE_SIZE / 2
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -302,16 +260,16 @@ def render_bloch_disk_svg() -> str:
         f'  <text x="{cx + _FIGURE_RADIUS + 6:.1f}" y="{cy + 4:.1f}" font-size="13" '
         'fill="#444444">+x</text>',
     ]
-    for first, second in (("a", "A"), ("b", "B"), ("c", "C")):
+    for (_, first), (_, second) in (d.components for d in decls if len(d.components) == 2):
         x1, y1 = _disk_xy(*states[first])
         x2, y2 = _disk_xy(*states[second])
         lines.append(
             f'  <line class="decomposition-segment" x1="{x1:.2f}" y1="{y1:.2f}" '
             f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#1f77b4" stroke-width="1.6"/>'
         )
-    for trine in (("a", "b", "c"), ("A", "B", "C")):
+    for trine in (d.components for d in decls if len(d.components) == 3):
         points = " ".join(
-            "{:.2f},{:.2f}".format(*_disk_xy(*states[name])) for name in trine
+            "{:.2f},{:.2f}".format(*_disk_xy(*states[name])) for _, name in trine
         )
         lines.append(
             f'  <polygon class="decomposition-triangle" points="{points}" '
@@ -355,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-9, help="numeric tolerance")
+    def add_common(p: argparse.ArgumentParser, tol_help: str | None = None) -> None:
+        if tol_help:
+            p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
         p.add_argument("--out", default=None, help="write machine-readable output here")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -364,12 +323,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_nogo.add_argument(
         "target", choices=("prep", "meas", "transf", "gleason", "od-unsharp")
     )
-    add_common(p_nogo)
+    add_common(
+        p_nogo,
+        "numeric tolerance of the gleason target's normalization and overlap "
+        "checks; the other targets check their premises at fixed tolerances",
+    )
     p_nogo.set_defaults(func=cmd_nogo)
 
     p_feas = sub.add_parser("feasibility", help="certify a user-supplied instance")
     p_feas.add_argument("instance", help="JSON constraint system or operational theory")
-    add_common(p_feas)
+    add_common(
+        p_feas,
+        "numeric tolerance for theory input (mixture checks, target equivalence, "
+        "orthogonality); constraint systems are exact and do not read it",
+    )
     p_feas.set_defaults(func=cmd_feasibility)
 
     p_sim = sub.add_parser("simulate-bb", help="seeded model simulation")

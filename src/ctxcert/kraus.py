@@ -14,12 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .operational import (
-    Transformation,
-    mix_channels,
-    rotation_transformations,
-    y_projection_channel,
-)
+from .operational import channel_decompositions, hexagon_theory
 from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
@@ -146,25 +141,19 @@ def verify_mixture_identities(tol: float = IDENTITY_TOL) -> MixtureIdentityRepor
     """Verify the five convex decompositions of the y-axis projection channel
     and its geometric action.
 
-    Each decomposition is rebuilt with ``mix_channels`` and compared to the
-    channel (defined by its balanced two-element Kraus set) at the Choi
-    level; separately, the channel is checked to send every Bloch vector
-    ``(x, y, z)`` on a ball grid to ``(0, y, 0)``.  Raises when any identity
-    fails beyond ``tol``, which would signal an implementation bug.
+    Each transformation mixture declared by ``hexagon_theory`` (K1-K5) is
+    rebuilt with ``mix_channels`` and compared to the channel (defined by its
+    balanced two-element Kraus set) at the Choi level; separately, the
+    channel is checked to send every Bloch vector ``(x, y, z)`` on a ball
+    grid to ``(0, y, 0)``.  Raises when any identity fails beyond ``tol``,
+    which would signal an implementation bug.
     """
-    rotations = rotation_transformations()
-    projection = Transformation("T", y_projection_channel())
-    decompositions = (
-        ("K1", ((0.5, "T0"), (0.5, "T180"))),
-        ("K2", ((0.5, "T60"), (0.5, "T240"))),
-        ("K3", ((0.5, "T120"), (0.5, "T300"))),
-        ("K4", ((1 / 3, "T0"), (1 / 3, "T120"), (1 / 3, "T240"))),
-        ("K5", ((1 / 3, "T60"), (1 / 3, "T180"), (1 / 3, "T300"))),
-    )
-    identities = []
-    for name, weighted in decompositions:
-        mixture = mix_channels([(w, rotations[label]) for w, label in weighted], name)
-        identities.append((name, choi_deviation(mixture.channel, projection.channel)))
+    theory = hexagon_theory()
+    identities = [
+        (mixture.label, choi_deviation(mixture.channel, target.channel))
+        for mixture, target in channel_decompositions(theory)
+    ]
+    projection = theory.transformations["T"]
 
     worst = 0.0
     for r in _bloch_grid():

@@ -29,12 +29,11 @@ from scipy.optimize import linprog
 
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
-    Transformation,
+    OperationalTheory,
+    channel_decompositions,
     hexagon_state_vectors,
     hexagon_theory,
-    mix_channels,
-    rotation_transformations,
-    y_projection_channel,
+    prep_equivalent,
 )
 from .qmath import (
     IDENTITY_TOL,
@@ -534,42 +533,61 @@ def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> 
 
 
 # ---------------------------------------------------------------------------
+# From an operational theory to its constraint system.
+
+
+def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> ConstraintSystem:
+    """Derive the pointwise system a noncontextual model of the theory must
+    solve: one variable per non-target preparation, disjointness from
+    orthogonality, one equality form per declared preparation mixture.
+
+    Raises ``ValueError`` when the mixture targets are not all equivalent or
+    a mixture component is itself a mixture target.
+    """
+    decls = [d for d in theory.mixtures if d.kind == "prep"]
+    targets = {d.target for d in decls}
+    target_preps = [theory.preparations[t] for t in sorted(targets)]
+    if not all(prep_equivalent(target_preps[0], p, tol=tol) for p in target_preps[1:]):
+        raise ValueError(
+            "mixture targets fall into more than one equivalence class; "
+            "this system type has a single family of mutually equal forms"
+        )
+    nested = [label for d in decls for _, label in d.components if label in targets]
+    if nested:
+        raise ValueError(f"mixture component {nested[0]!r} is itself a mixture target; unsupported")
+    variables = [label for label in theory.preparations if label not in targets]
+    rho = {label: theory.preparations[label].rho.matrix for label in variables}
+    pairs = [
+        (u, v)
+        for i, u in enumerate(variables)
+        for v in variables[i + 1 :]
+        if float(np.abs(rho[u] @ rho[v]).max()) <= tol
+    ]
+    forms = []
+    for d in decls:
+        form = {}
+        for weight, label in d.components:
+            form[label] = form.get(label, Fraction(0)) + Fraction(weight).limit_denominator(10**9)
+        forms.append(form)
+    return ConstraintSystem(variables, pairs, forms)
+
+
+def _certify_infeasible(
+    system: ConstraintSystem, checks: Sequence[PremiseCheck], tol: float, name: str
+) -> Certificate:
+    """Check the premises against ``tol``, then certify the system, whose
+    verdict the premises guarantee to be Infeasible."""
+    for check in checks:
+        if check.max_deviation > tol:
+            raise VerificationError(f"premise {check.name!r} deviates by {check.max_deviation:.3e}")
+    cert = pointwise_feasibility(system)
+    if cert.feasible:
+        raise VerificationError(f"the {name} system was unexpectedly feasible")
+    return Certificate("Infeasible", cert.system, None, cert.cases, tuple(checks))
+
+
+# ---------------------------------------------------------------------------
 # The preparation no-go driver.
-
-
-def build_prep_system() -> ConstraintSystem:
-    """Three complementarity pairs plus the five decompositions of the
-    completely mixed state, one variable per hexagon preparation."""
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    return ConstraintSystem(
-        variables=("a", "A", "b", "B", "c", "C"),
-        disjoint_pairs=(("a", "A"), ("b", "B"), ("c", "C")),
-        equality_groups=(
-            {"a": half, "A": half},
-            {"b": half, "B": half},
-            {"c": half, "C": half},
-            {"a": third, "b": third, "c": third},
-            {"A": third, "B": third, "C": third},
-        ),
-    )
-
-
-def _orthogonality_deviation() -> float:
-    states = {name: pure_density(v).matrix for name, v in hexagon_state_vectors().items()}
-    worst = 0.0
-    for x, y in (("a", "A"), ("b", "B"), ("c", "C")):
-        worst = max(worst, float(np.abs(states[x] @ states[y]).max()))
-    return worst
-
-
-def _mixture_deviation() -> float:
-    theory = hexagon_theory()
-    center = identity(2) / 2
-    worst = 0.0
-    for label in ("aA", "bB", "cC", "abc", "ABC"):
-        worst = max(worst, float(np.abs(theory.preparations[label].rho.matrix - center).max()))
-    return worst
 
 
 def prep_nogo(tol: float = IDENTITY_TOL) -> Certificate:
@@ -579,21 +597,21 @@ def prep_nogo(tol: float = IDENTITY_TOL) -> Certificate:
     First verifies the numeric premises on the canonical instance (the three
     orthogonalities that imply single-shot distinguishability, and the five
     mixtures all equal to the completely mixed state), then runs the
-    pointwise certifier, whose verdict must be Infeasible.
+    pointwise certifier on the system derived from the instance, whose
+    verdict must be Infeasible.
     """
+    theory = hexagon_theory()
+    system = system_from_theory(theory)
+    rho = {label: p.rho.matrix for label, p in theory.preparations.items()}
+    center = identity(theory.dim) / theory.dim
+    targets = {d.target for d in theory.mixtures if d.kind == "prep"}
+    orthogonality = max(float(np.abs(rho[u] @ rho[v]).max()) for u, v in system.disjoint_pairs)
+    centered = max(float(np.abs(rho[t] - center).max()) for t in targets)
     checks = (
-        PremiseCheck("orthogonality", _orthogonality_deviation()),
-        PremiseCheck("mixtures-equal-center", _mixture_deviation()),
+        PremiseCheck("orthogonality", orthogonality),
+        PremiseCheck("mixtures-equal-center", centered),
     )
-    for check in checks:
-        if check.max_deviation > tol:
-            raise VerificationError(
-                f"premise {check.name!r} deviates by {check.max_deviation:.3e}"
-            )
-    cert = pointwise_feasibility(build_prep_system())
-    if cert.feasible:
-        raise VerificationError("the preparation system was unexpectedly feasible")
-    return Certificate("Infeasible", cert.system, None, cert.cases, checks)
+    return _certify_infeasible(system, checks, tol, "preparation")
 
 
 # ---------------------------------------------------------------------------
@@ -755,75 +773,54 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
 # ---------------------------------------------------------------------------
 # The transformation no-go driver.
 
-#: Rotation labels standing in for the six preparation variables, pairing
-#: each angle with its half-turn opposite.
-TRANSF_VARIABLE_ORDER = ("T0", "T180", "T120", "T300", "T240", "T60")
-
-#: The five decompositions of the projection channel, as (name, weights).
-K_IDENTITIES = (
-    ("K1", ((Fraction(1, 2), "T0"), (Fraction(1, 2), "T180"))),
-    ("K2", ((Fraction(1, 2), "T60"), (Fraction(1, 2), "T240"))),
-    ("K3", ((Fraction(1, 2), "T120"), (Fraction(1, 2), "T300"))),
-    ("K4", ((Fraction(1, 3), "T0"), (Fraction(1, 3), "T120"), (Fraction(1, 3), "T240"))),
-    ("K5", ((Fraction(1, 3), "T60"), (Fraction(1, 3), "T180"), (Fraction(1, 3), "T300"))),
-)
-
-
-def build_transf_system() -> ConstraintSystem:
-    """The image-distribution system induced by the five channel mixtures and
-    the disjoint-image pairs; structurally the preparation system under the
-    angle relabeling."""
-    half = Fraction(1, 2)
-    third = Fraction(1, 3)
-    return ConstraintSystem(
-        variables=TRANSF_VARIABLE_ORDER,
-        disjoint_pairs=(("T0", "T180"), ("T120", "T300"), ("T240", "T60")),
-        equality_groups=(
-            {"T0": half, "T180": half},
-            {"T120": half, "T300": half},
-            {"T240": half, "T60": half},
-            {"T0": third, "T120": third, "T240": third},
-            {"T60": third, "T180": third, "T300": third},
-        ),
-    )
-
 
 def transf_nogo(grid_points: int = 36, tol: float = IDENTITY_TOL) -> Certificate:
     """Certify that no noncontextual assignment of transition matrices exists
     for the six rotations and the projection channel.
 
-    Step 1 verifies the five convex decompositions of the projection channel
-    at the Choi level.  Step 2 verifies the disjoint-image premise: on a grid
-    of pure states in the z-x plane, rotations differing by a half turn
-    produce orthogonal outputs.  Step 3 certifies the induced pointwise
-    system, which must be infeasible.
+    Step 1 verifies the five convex decompositions K1-K5 of the projection
+    channel at the Choi level.  Step 2 relabels the preparation system by
+    the rotation that sends the first preparation to each state, so the
+    channel decompositions become those of the completely mixed state and
+    half-turn-apart rotations the disjoint pairs.  Step 3 verifies on a grid
+    of z-x pure states that each pair has orthogonal outputs.  Step 4
+    certifies the relabeled system, which must be infeasible.
     """
-    rotations = rotation_transformations()
-    projection = Transformation("T", y_projection_channel())
+    theory = hexagon_theory()
+    channels = {label: t.channel for label, t in theory.transformations.items()}
+    checks = [
+        PremiseCheck(mixture.label, choi_deviation(mixture.channel, target.channel))
+        for mixture, target in channel_decompositions(theory)
+    ]
 
-    checks: list[PremiseCheck] = []
-    for name, weighted in K_IDENTITIES:
-        mixture = mix_channels([(float(w), rotations[l]) for w, l in weighted], name)
-        checks.append(PremiseCheck(name, choi_deviation(mixture.channel, projection.channel)))
+    prep_system = system_from_theory(theory)
+    first = theory.preparations[prep_system.variables[0]].rho
+    images = {label: apply_channel(channel, first).matrix for label, channel in channels.items()}
+    rotation_to = {}
+    for var in prep_system.variables:
+        rho = theory.preparations[var].rho.matrix
+        matches = [label for label, image in images.items() if np.abs(image - rho).max() <= tol]
+        if not matches:
+            raise VerificationError(f"no transformation sends the first state to {var!r}")
+        rotation_to[var] = matches[0]
+    system = ConstraintSystem(
+        [rotation_to[v] for v in prep_system.variables],
+        [(rotation_to[u], rotation_to[v]) for u, v in prep_system.disjoint_pairs],
+        [{rotation_to[v]: c for v, c in form} for form in prep_system.equality_groups],
+    )
 
+    # tr(AB) and tr(BA) round differently: take each pair smaller angle first.
+    opposite_pairs = [sorted(pair, key=list(channels).index) for pair in system.disjoint_pairs]
     worst = 0.0
     for k in range(grid_points):
         phi = 2 * math.pi * k / grid_points
         rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)]))
-        for theta_label, opposite_label in (("T0", "T180"), ("T60", "T240"), ("T120", "T300")):
-            out1 = apply_channel(rotations[theta_label].channel, rho).matrix
-            out2 = apply_channel(rotations[opposite_label].channel, rho).matrix
+        for u, v in opposite_pairs:
+            out1 = apply_channel(channels[u], rho).matrix
+            out2 = apply_channel(channels[v], rho).matrix
             worst = max(worst, abs(complex(np.trace(out1 @ out2))))
     checks.append(PremiseCheck("disjoint-image", worst))
-
-    for check in checks:
-        if check.max_deviation > tol:
-            raise VerificationError(f"premise {check.name!r} deviates by {check.max_deviation:.3e}")
-
-    cert = pointwise_feasibility(build_transf_system())
-    if cert.feasible:
-        raise VerificationError("the transformation system was unexpectedly feasible")
-    return Certificate("Infeasible", cert.system, None, cert.cases, tuple(checks))
+    return _certify_infeasible(system, checks, tol, "transformation")
 
 
 # ---------------------------------------------------------------------------

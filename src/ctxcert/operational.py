@@ -400,17 +400,6 @@ def hexagon_theory() -> OperationalTheory:
     """
     states = hexagon_states()
     preps = {name: Preparation(name, rho) for name, rho in states.items()}
-    mixed_preps = [
-        mix_preparations([(0.5, preps["a"]), (0.5, preps["A"])], "aA"),
-        mix_preparations([(0.5, preps["b"]), (0.5, preps["B"])], "bB"),
-        mix_preparations([(0.5, preps["c"]), (0.5, preps["C"])], "cC"),
-        mix_preparations(
-            [(1 / 3, preps["a"]), (1 / 3, preps["b"]), (1 / 3, preps["c"])], "abc"
-        ),
-        mix_preparations(
-            [(1 / 3, preps["A"]), (1 / 3, preps["B"]), (1 / 3, preps["C"])], "ABC"
-        ),
-    ]
     prep_mixture_decls = [
         MixtureDecl("prep", "aA", ((0.5, "a"), (0.5, "A"))),
         MixtureDecl("prep", "bB", ((0.5, "b"), (0.5, "B"))),
@@ -418,23 +407,24 @@ def hexagon_theory() -> OperationalTheory:
         MixtureDecl("prep", "abc", ((1 / 3, "a"), (1 / 3, "b"), (1 / 3, "c"))),
         MixtureDecl("prep", "ABC", ((1 / 3, "A"), (1 / 3, "B"), (1 / 3, "C"))),
     ]
+    mixed_preps = [
+        mix_preparations([(w, preps[l]) for w, l in d.components], d.target)
+        for d in prep_mixture_decls
+    ]
 
     pvms = {
-        "Ma": Measurement("Ma", Povm((Effect(states["a"].matrix), Effect(states["A"].matrix)))),
-        "Mb": Measurement("Mb", Povm((Effect(states["b"].matrix), Effect(states["B"].matrix)))),
-        "Mc": Measurement("Mc", Povm((Effect(states["c"].matrix), Effect(states["C"].matrix)))),
+        f"M{x}": Measurement(f"M{x}", Povm((Effect(states[x].matrix), Effect(states[x.upper()].matrix))))
+        for x in "abc"
     }
+    meas_mixture_decl = MixtureDecl("meas", "M", ((1 / 3, "Ma"), (1 / 3, "Mb"), (1 / 3, "Mc")))
     mixed_meas = mix_measurements(
-        [(1 / 3, pvms["Ma"]), (1 / 3, pvms["Mb"]), (1 / 3, pvms["Mc"])], "M"
+        [(w, pvms[l]) for w, l in meas_mixture_decl.components], meas_mixture_decl.target
     )
     coin = Measurement(
         "Mtrivial",
         Povm((Effect(identity(2) / 2), Effect(identity(2) / 2))),
         "ignores the system and flips a fair coin",
     )
-    meas_mixture_decls = [
-        MixtureDecl("meas", "M", ((1 / 3, "Ma"), (1 / 3, "Mb"), (1 / 3, "Mc"))),
-    ]
 
     rotations = rotation_transformations()
     projection = Transformation("T", y_projection_channel())
@@ -450,5 +440,18 @@ def hexagon_theory() -> OperationalTheory:
         preparations=list(preps.values()) + mixed_preps,
         transformations=list(rotations.values()) + [projection],
         measurements=list(pvms.values()) + [mixed_meas, coin],
-        mixtures=prep_mixture_decls + meas_mixture_decls + transf_mixture_decls,
+        mixtures=prep_mixture_decls + [meas_mixture_decl] + transf_mixture_decls,
     )
+
+
+def channel_decompositions(theory: OperationalTheory) -> list[tuple[Transformation, Transformation]]:
+    """Each declared transformation mixture rebuilt with ``mix_channels``,
+    named K1, K2, ... in declaration order, paired with its target."""
+    decls = [d for d in theory.mixtures if d.kind == "transf"]
+    return [
+        (
+            mix_channels([(w, theory.transformations[l]) for w, l in d.components], f"K{k}"),
+            theory.transformations[d.target],
+        )
+        for k, d in enumerate(decls, start=1)
+    ]

@@ -4,7 +4,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ctxcert.cli import main, render_bloch_disk_svg
-from ctxcert.operational import hexagon_theory
+from ctxcert.operational import (
+    MixtureDecl,
+    OperationalTheory,
+    Preparation,
+    hexagon_states,
+    hexagon_theory,
+    mix_preparations,
+)
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -125,6 +132,35 @@ class TestFeasibilityCommand:
         code, _, _ = _run(capsys, "feasibility", str(tmp_path / "absent.json"))
         assert code == 2
 
+    @staticmethod
+    def _theory_file(tmp_path, mixtures):
+        """A theory of a, A, b and the given ``(target, components)`` mixtures."""
+        states = hexagon_states()
+        preps = {name: Preparation(name, states[name]) for name in ("a", "A", "b")}
+        decls = []
+        for target, components in mixtures:
+            preps[target] = mix_preparations([(w, preps[l]) for w, l in components], target)
+            decls.append(MixtureDecl("prep", target, components))
+        path = tmp_path / "theory.json"
+        path.write_text(json.dumps(OperationalTheory(preps.values(), mixtures=decls).to_json()))
+        return path
+
+    def test_targets_in_two_equivalence_classes_exit_two(self, capsys, tmp_path):
+        path = self._theory_file(
+            tmp_path, [("aA", ((0.5, "a"), (0.5, "A"))), ("ab", ((0.5, "a"), (0.5, "b")))]
+        )
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "mixture targets fall into more than one equivalence class" in stderr
+
+    def test_component_that_is_a_target_exits_two(self, capsys, tmp_path):
+        path = self._theory_file(
+            tmp_path, [("aA", ((0.5, "a"), (0.5, "A"))), ("again", ((1.0, "aA"),))]
+        )
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "mixture component 'aA' is itself a mixture target" in stderr
+
 
 class TestSimulateCommand:
     def test_balanced_mixture_against_neighbor_pvm(self, capsys, tmp_path):
@@ -217,6 +253,16 @@ class TestFlagValidation:
     def test_nonpositive_tol_rejected(self, capsys):
         code, _, _ = _run(capsys, "nogo", "prep", "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["figure-bloch"], ["simulate-bb", "--prep", "a", "--povm", "a"]],
+    )
+    def test_tol_is_a_usage_error_where_nothing_reads_it(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestExitCodeContract:

@@ -8,20 +8,51 @@ from scipy.optimize import linprog
 
 from ctxcert.nogo import (
     ConstraintSystem,
-    build_prep_system,
-    build_transf_system,
     gleason_contradiction,
     meas_nogo,
     od_unsharp_contradiction,
     pointwise_feasibility,
     prep_nogo,
+    system_from_theory,
     transf_nogo,
     trivial_povm_forced_indicator,
 )
 from ctxcert.ontomodel import is_outcome_deterministic
-from ctxcert.operational import hexagon_state_vectors
+from ctxcert.operational import hexagon_state_vectors, hexagon_theory
 
 from feasibility_oracle import brute_force_feasible, random_system
+
+
+#: The preparation system of the hexagon: three antipodal pairs and the
+#: five decompositions of the completely mixed state.
+PREP_SYSTEM_JSON = {
+    "variables": ["a", "A", "b", "B", "c", "C"],
+    "disjoint_pairs": [["a", "A"], ["b", "B"], ["c", "C"]],
+    "equality_groups": [
+        {"a": "1/2", "A": "1/2"},
+        {"b": "1/2", "B": "1/2"},
+        {"c": "1/2", "C": "1/2"},
+        {"a": "1/3", "b": "1/3", "c": "1/3"},
+        {"A": "1/3", "B": "1/3", "C": "1/3"},
+    ],
+}
+
+#: The same system relabeled by the rotation that sends a to each state.
+TRANSF_SYSTEM_JSON = {
+    "variables": ["T0", "T180", "T120", "T300", "T240", "T60"],
+    "disjoint_pairs": [["T0", "T180"], ["T120", "T300"], ["T240", "T60"]],
+    "equality_groups": [
+        {"T0": "1/2", "T180": "1/2"},
+        {"T120": "1/2", "T300": "1/2"},
+        {"T240": "1/2", "T60": "1/2"},
+        {"T0": "1/3", "T120": "1/3", "T240": "1/3"},
+        {"T180": "1/3", "T300": "1/3", "T60": "1/3"},
+    ],
+}
+
+
+def _prep_system() -> ConstraintSystem:
+    return system_from_theory(hexagon_theory())
 
 
 def _pattern_cone_is_zero(system: ConstraintSystem, forced: frozenset) -> bool:
@@ -48,7 +79,7 @@ def _pattern_cone_is_zero(system: ConstraintSystem, forced: frozenset) -> bool:
 
 class TestConstraintSystem:
     def test_counts_of_the_preparation_system(self):
-        system = build_prep_system()
+        system = _prep_system()
         assert len(system.variables) == 6
         assert len(system.disjoint_pairs) == 3
         assert len(system.equality_groups) == 5
@@ -69,8 +100,14 @@ class TestConstraintSystem:
         with pytest.raises(ValueError):
             ConstraintSystem(("x",), (), ({"x": 0.1234567890123456789e-20},))
 
+    def test_derived_systems_are_pinned(self, prep_cert, transf_cert):
+        # Compared as serialized text, so the order of every key is pinned too.
+        assert json.dumps(_prep_system().to_json()) == json.dumps(PREP_SYSTEM_JSON)
+        assert json.dumps(prep_cert.system.to_json()) == json.dumps(PREP_SYSTEM_JSON)
+        assert json.dumps(transf_cert.system.to_json()) == json.dumps(TRANSF_SYSTEM_JSON)
+
     def test_json_roundtrip(self):
-        system = build_prep_system()
+        system = _prep_system()
         assert ConstraintSystem.from_json(system.to_json()).to_json() == system.to_json()
 
 
@@ -107,7 +144,7 @@ class TestPointwiseFeasibility:
             pointwise_feasibility(ConstraintSystem(variables, pairs))
 
     def test_case_table_covers_every_pattern(self):
-        cert = pointwise_feasibility(build_prep_system())
+        cert = pointwise_feasibility(_prep_system())
         assert len(cert.cases) == 2 ** len(cert.system.disjoint_pairs)
         patterns = [row.pattern for row in cert.cases]
         assert patterns == sorted(patterns)
@@ -124,7 +161,7 @@ class TestPointwiseFeasibility:
         assert ray[0] == 2 * ray[1] and ray[1] > 0
 
     def test_scaling_coefficients_does_not_change_the_verdict(self):
-        base = build_prep_system()
+        base = _prep_system()
         scaled_forms = [
             {var: coeff * 7 for var, coeff in form} for form in base.equality_groups
         ]
@@ -251,8 +288,8 @@ class TestTransfNogo:
             assert named[key] <= 1e-12
         assert named["disjoint-image"] <= 1e-12
 
-    def test_system_mirrors_the_preparation_structure(self):
-        system = build_transf_system()
+    def test_system_mirrors_the_preparation_structure(self, transf_cert):
+        system = transf_cert.system
         assert len(system.variables) == 6
         assert len(system.disjoint_pairs) == 3
         assert len(system.equality_groups) == 5
@@ -371,7 +408,7 @@ class TestMinimalityProbe:
         return ConstraintSystem(system.variables, system.disjoint_pairs, forms)
 
     def test_single_form_drops_remain_infeasible(self):
-        base = build_prep_system()
+        base = _prep_system()
         for drop in range(5):
             system = self._drop(base, {drop})
             cert = pointwise_feasibility(system)
@@ -383,7 +420,7 @@ class TestMinimalityProbe:
                 assert _pattern_cone_is_zero(system, forced)
 
     def test_dropping_both_trine_forms_is_feasible(self):
-        base = build_prep_system()
+        base = _prep_system()
         cert = pointwise_feasibility(self._drop(base, {3, 4}))
         assert cert.feasible
         assert cert.witness is not None
