@@ -63,8 +63,8 @@ class PureOnticState:
         v.setflags(write=False)
         object.__setattr__(self, "psi", v)
 
-    def same_ray(self, other: "PureOnticState", tol: float = RAY_TOL) -> bool:
-        return bool(np.abs(self.psi - other.psi).max() <= tol)
+    def same_ray(self, other: "PureOnticState") -> bool:
+        return bool(np.abs(self.psi - other.psi).max() <= RAY_TOL)
 
     def density(self) -> DensityOperator:
         return pure_density(self.psi)

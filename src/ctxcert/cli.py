@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate_bb)
 
     p_fig = sub.add_parser("figure-bloch", help="emit the disk geometry as SVG")
-    add_common(p_fig)
+    p_fig.add_argument("--out", default=None, help="write the SVG here")
     p_fig.set_defaults(func=cmd_figure_bloch)
 
     return parser

@@ -137,7 +137,7 @@ def _bloch_grid() -> list[np.ndarray]:
     return points
 
 
-def verify_mixture_identities(tol: float = IDENTITY_TOL) -> MixtureIdentityReport:
+def verify_mixture_identities() -> MixtureIdentityReport:
     """Verify the five convex decompositions of the y-axis projection channel
     and its geometric action.
 
@@ -145,8 +145,8 @@ def verify_mixture_identities(tol: float = IDENTITY_TOL) -> MixtureIdentityRepor
     rebuilt with ``mix_channels`` and compared to the channel (defined by its
     balanced two-element Kraus set) at the Choi level; separately, the
     channel is checked to send every Bloch vector ``(x, y, z)`` on a ball
-    grid to ``(0, y, 0)``.  Raises when any identity fails beyond ``tol``,
-    which would signal an implementation bug.
+    grid to ``(0, y, 0)``.  Raises when any identity fails beyond
+    ``IDENTITY_TOL``, which would signal an implementation bug.
     """
     theory = hexagon_theory()
     identities = [
@@ -162,7 +162,7 @@ def verify_mixture_identities(tol: float = IDENTITY_TOL) -> MixtureIdentityRepor
         worst = max(worst, float(np.abs(bloch_from_density(rho_out) - expected).max()))
 
     report = MixtureIdentityReport(tuple(identities), worst)
-    if report.max_choi_dev > tol or report.bloch_projection_max_dev > tol:
+    if report.max_choi_dev > IDENTITY_TOL or report.bloch_projection_max_dev > IDENTITY_TOL:
         raise ArithmeticError(
             f"projection-channel identities fail: choi {report.max_choi_dev:.3e}, "
             f"bloch {report.bloch_projection_max_dev:.3e}"

@@ -29,6 +29,7 @@ from scipy.optimize import linprog
 
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
+    MixtureDecl,
     OperationalTheory,
     channel_decompositions,
     hexagon_state_vectors,
@@ -56,6 +57,9 @@ MAX_DISJOINT_PAIRS = 20
 #: Tolerance of the stage-2 normalization check ("each distribution
 #: integrates to one").
 NORMALIZATION_TOL = 1e-9
+
+#: Number of z-x pure states on which ``transf_nogo`` checks disjoint images.
+DISJOINT_IMAGE_GRID = 36
 
 
 class VerificationError(RuntimeError):
@@ -428,7 +432,7 @@ def _derive_all_zero(
 # The certifier.
 
 
-def pointwise_feasibility(system: ConstraintSystem, tol: float = NORMALIZATION_TOL) -> Certificate:
+def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
     """Decide whether normalized distributions can satisfy the system.
 
     Raises ``ValueError`` for a system without variables or with more than
@@ -491,10 +495,10 @@ def pointwise_feasibility(system: ConstraintSystem, tol: float = NORMALIZATION_T
             sum(w * np.array([float(x) for x in ray]) for w, ray in used) - target
         ).max()
     )
-    if residual > tol:
-        raise RuntimeError(f"normalization residual {residual:.3e} exceeds {tol}")
+    if residual > NORMALIZATION_TOL:
+        raise RuntimeError(f"normalization residual {residual:.3e} exceeds {NORMALIZATION_TOL}")
     witness = _witness_model(system, used)
-    _verify_witness(system, witness, tol)
+    _verify_witness(system, witness, NORMALIZATION_TOL)
     return Certificate("Feasible", system, witness, tuple(cases))
 
 
@@ -541,8 +545,9 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
     solve: one variable per non-target preparation, disjointness from
     orthogonality, one equality form per declared preparation mixture.
 
-    Raises ``ValueError`` when the mixture targets are not all equivalent or
-    a mixture component is itself a mixture target.
+    Raises ``ValueError`` when the mixture targets are not all equivalent, a
+    mixture component is itself a mixture target, or a mixture's weights have
+    no small exact rational representation that sums to 1.
     """
     decls = [d for d in theory.mixtures if d.kind == "prep"]
     targets = {d.target for d in decls}
@@ -563,23 +568,41 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
         for v in variables[i + 1 :]
         if float(np.abs(rho[u] @ rho[v]).max()) <= tol
     ]
-    forms = []
-    for d in decls:
-        form = {}
-        for weight, label in d.components:
-            form[label] = form.get(label, Fraction(0)) + Fraction(weight).limit_denominator(10**9)
-        forms.append(form)
-    return ConstraintSystem(variables, pairs, forms)
+    return ConstraintSystem(variables, pairs, [_exact_weights(d) for d in decls])
+
+
+def _exact_weights(decl: MixtureDecl) -> dict[str, Fraction]:
+    """A mixture's exact total weight on each component; they must sum to 1."""
+    weights: dict[str, Fraction] = {}
+    for w, label in decl.components:
+        weights[label] = weights.get(label, Fraction(0)) + _as_fraction(w)
+    if sum(weights.values()) != 1:
+        raise ValueError(
+            f"weights of {decl.target!r} have no small exact rational representation "
+            f"summing to 1 (they sum to {sum(weights.values())})"
+        )
+    return weights
+
+
+def _check_premises(checks: Sequence[PremiseCheck]) -> None:
+    for check in checks:
+        if check.max_deviation > IDENTITY_TOL:
+            raise VerificationError(f"premise {check.name!r} deviates by {check.max_deviation:.3e}")
+
+
+def _label_of(matrix: np.ndarray, named: Mapping[str, np.ndarray], error: str) -> str:
+    """The first name whose matrix equals ``matrix`` within ``IDENTITY_TOL``."""
+    for label, candidate in named.items():
+        if np.abs(candidate - matrix).max() <= IDENTITY_TOL:
+            return label
+    raise VerificationError(error)
 
 
 def _certify_infeasible(
-    system: ConstraintSystem, checks: Sequence[PremiseCheck], tol: float, name: str
+    system: ConstraintSystem, checks: Sequence[PremiseCheck], name: str
 ) -> Certificate:
-    """Check the premises against ``tol``, then certify the system, whose
-    verdict the premises guarantee to be Infeasible."""
-    for check in checks:
-        if check.max_deviation > tol:
-            raise VerificationError(f"premise {check.name!r} deviates by {check.max_deviation:.3e}")
+    """Check the premises, then certify the system they make Infeasible."""
+    _check_premises(checks)
     cert = pointwise_feasibility(system)
     if cert.feasible:
         raise VerificationError(f"the {name} system was unexpectedly feasible")
@@ -590,7 +613,7 @@ def _certify_infeasible(
 # The preparation no-go driver.
 
 
-def prep_nogo(tol: float = IDENTITY_TOL) -> Certificate:
+def prep_nogo() -> Certificate:
     """Certify that no noncontextual assignment of distributions exists for
     the six hexagon preparations.
 
@@ -611,7 +634,7 @@ def prep_nogo(tol: float = IDENTITY_TOL) -> Certificate:
         PremiseCheck("orthogonality", orthogonality),
         PremiseCheck("mixtures-equal-center", centered),
     )
-    return _certify_infeasible(system, checks, tol, "preparation")
+    return _certify_infeasible(system, checks, "preparation")
 
 
 # ---------------------------------------------------------------------------
@@ -629,14 +652,6 @@ class ForcedIndicator:
 
     def indicator_set(self, size: int = 1) -> IndicatorSet:
         return IndicatorSet(np.tile(np.array(self.values).reshape(-1, 1), (1, size)))
-
-    def to_json(self) -> dict:
-        return {
-            "outcome_count": self.outcome_count,
-            "by_state_independence": list(self.by_state_independence),
-            "by_permutation_symmetry": list(self.by_permutation_symmetry),
-            "values": list(self.values),
-        }
 
 
 def trivial_povm_forced_indicator() -> ForcedIndicator:
@@ -679,61 +694,48 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
     )
 
 
-_ALLOWED_MIXED_VALUES = {
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(2, 3), Fraction(1, 3)),
-    (Fraction(1, 3), Fraction(2, 3)),
-}
-
-_FORBIDDEN_MIXED_VALUE = (Fraction(1, 2), Fraction(1, 2))
-
-
 def meas_nogo() -> Certificate:
     """Certify that outcome-deterministic sharp representations cannot mix to
     the forced coin-flip representation.
 
-    The eight deterministic assignments to the three antipodal indicator
-    pairs are enumerated exactly; their uniform element-wise mixtures only
-    ever take the value pairs {0,1}, {1,0}, {2/3,1/3} or {1/3,2/3}, never
-    the {1/2,1/2} that noncontextuality forces for the mixed measurement.
+    Reads the PVMs and weights of the theory's mixture ``M``, which equals
+    the coin flip ``Mtrivial``, and names each PVM outcome by the preparation
+    equal to its effect.  No deterministic assignment to the PVMs (one
+    outcome of each takes the value 1) may mix, with the exact weights, to
+    the values that noncontextuality forces for the coin flip.
     """
     theory = hexagon_theory()
     coin = theory.measurements["Mtrivial"].povm
     mixed = theory.measurements["M"].povm
-    povm_dev = max(
-        float(np.abs(mixed[k].matrix - coin[k].matrix).max()) for k in range(2)
-    )
+    povm_dev = max(float(np.abs(mixed[k].matrix - coin[k].matrix).max()) for k in range(2))
     forced = trivial_povm_forced_indicator()
-    forced_dev = max(abs(v - 0.5) for v in forced.values)
     checks = (
         PremiseCheck("mixed-povm-equals-coin-povm", povm_dev),
-        PremiseCheck("forced-coin-indicator", forced_dev),
+        PremiseCheck("forced-coin-indicator", max(abs(v - 0.5) for v in forced.values)),
     )
-    for check in checks:
-        if check.max_deviation > IDENTITY_TOL:
-            raise VerificationError(f"premise {check.name!r} deviates by {check.max_deviation:.3e}")
+    _check_premises(checks)
 
-    pairs = (("a", "A"), ("b", "B"), ("c", "C"))
-    rows: list[CaseRow] = []
-    third = Fraction(1, 3)
-    for bits in itertools.product((0, 1), repeat=3):
-        # bit 0: the lower-case member takes value 1; bit 1: the capital does.
-        lower_ones = sum(1 for b in bits if b == 0)
-        mixed_pair = (third * lower_ones, third * (3 - lower_ones))
-        if mixed_pair == _FORBIDDEN_MIXED_VALUE:
-            raise VerificationError(f"assignment {bits} mixed to the forbidden (1/2, 1/2)")
-        if mixed_pair not in _ALLOWED_MIXED_VALUES:
-            raise VerificationError(f"assignment {bits} produced unexpected values {mixed_pair}")
-        zeroed = tuple(sorted(pair[1 - b] for pair, b in zip(pairs, bits)))
-        rows.append(
-            CaseRow(
-                pattern=bits,
-                zeroed=zeroed,
-                conclusion="mixed-values",
-                values=(str(mixed_pair[0]), str(mixed_pair[1])),
-            )
+    decl = next(d for d in theory.mixtures if d.kind == "meas" and d.target == "M")
+    weights = _exact_weights(decl)
+    rho = {label: p.rho.matrix for label, p in theory.preparations.items()}
+    outcome_states = []
+    for name in weights:
+        effects = [e.matrix for e in theory.measurements[name].povm.effects]
+        if any(np.abs(e @ e - e).max() > IDENTITY_TOL for e in effects):
+            raise VerificationError(f"mixture component {name!r} is not a PVM")
+        outcome_states.append([_label_of(e, rho, f"no state names {name!r}") for e in effects])
+
+    rows = []
+    for bits in itertools.product(range(mixed.outcome_count), repeat=len(weights)):
+        values = [Fraction(0)] * mixed.outcome_count
+        for w, b in zip(weights.values(), bits):
+            values[b] += w
+        if tuple(values) == forced.values:
+            raise VerificationError(f"assignment {bits} mixes to the forced values {forced.values}")
+        zeroed = sorted(
+            s for states, b in zip(outcome_states, bits) for k, s in enumerate(states) if k != b
         )
+        rows.append(CaseRow(bits, tuple(zeroed), "mixed-values", values=tuple(map(str, values))))
     return Certificate("Infeasible", None, None, tuple(rows), checks)
 
 
@@ -774,7 +776,7 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
 # The transformation no-go driver.
 
 
-def transf_nogo(grid_points: int = 36, tol: float = IDENTITY_TOL) -> Certificate:
+def transf_nogo() -> Certificate:
     """Certify that no noncontextual assignment of transition matrices exists
     for the six rotations and the projection channel.
 
@@ -796,13 +798,10 @@ def transf_nogo(grid_points: int = 36, tol: float = IDENTITY_TOL) -> Certificate
     prep_system = system_from_theory(theory)
     first = theory.preparations[prep_system.variables[0]].rho
     images = {label: apply_channel(channel, first).matrix for label, channel in channels.items()}
-    rotation_to = {}
-    for var in prep_system.variables:
-        rho = theory.preparations[var].rho.matrix
-        matches = [label for label, image in images.items() if np.abs(image - rho).max() <= tol]
-        if not matches:
-            raise VerificationError(f"no transformation sends the first state to {var!r}")
-        rotation_to[var] = matches[0]
+    rotation_to = {
+        v: _label_of(theory.preparations[v].rho.matrix, images, f"no rotation reaches {v!r}")
+        for v in prep_system.variables
+    }
     system = ConstraintSystem(
         [rotation_to[v] for v in prep_system.variables],
         [(rotation_to[u], rotation_to[v]) for u, v in prep_system.disjoint_pairs],
@@ -812,15 +811,15 @@ def transf_nogo(grid_points: int = 36, tol: float = IDENTITY_TOL) -> Certificate
     # tr(AB) and tr(BA) round differently: take each pair smaller angle first.
     opposite_pairs = [sorted(pair, key=list(channels).index) for pair in system.disjoint_pairs]
     worst = 0.0
-    for k in range(grid_points):
-        phi = 2 * math.pi * k / grid_points
+    for k in range(DISJOINT_IMAGE_GRID):
+        phi = 2 * math.pi * k / DISJOINT_IMAGE_GRID
         rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)]))
         for u, v in opposite_pairs:
             out1 = apply_channel(channels[u], rho).matrix
             out2 = apply_channel(channels[v], rho).matrix
             worst = max(worst, abs(complex(np.trace(out1 @ out2))))
     checks.append(PremiseCheck("disjoint-image", worst))
-    return _certify_infeasible(system, checks, tol, "transformation")
+    return _certify_infeasible(system, checks, "transformation")
 
 
 # ---------------------------------------------------------------------------

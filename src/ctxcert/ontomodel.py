@@ -19,6 +19,9 @@ import numpy as np
 from .operational import OperationalTheory
 from .qmath import VALIDITY_TOL, apply_channel, born_probability
 
+#: Label of the completely mixed state in ``outcome_determinism_from_prep_nc``.
+MIXED_LABEL = "I/d"
+
 
 @dataclass(frozen=True)
 class OnticSpace:
@@ -229,7 +232,6 @@ def classify_state_view(
     model: OntModel,
     prep_labels: Iterable[str],
     orthogonality: Callable[[str, str], bool],
-    tol: float = VALIDITY_TOL,
 ) -> StateViewReport:
     """Classify how a set of state representations treats distinctness.
 
@@ -246,7 +248,7 @@ def classify_state_view(
     for i, x in enumerate(labels):
         for y in labels[i + 1 :]:
             orth = bool(orthogonality(x, y))
-            dis = disjoint(model.prep_map[x], model.prep_map[y], tol=tol)
+            dis = disjoint(model.prep_map[x], model.prep_map[y])
             rows.append((x, y, orth, dis))
     vacuous = not rows
     epistemic = all(orth == dis for _, _, orth, dis in rows)
@@ -349,38 +351,36 @@ def outcome_determinism_from_prep_nc(
     pvm_label: str,
     prep_labels: Sequence[str],
     d: int,
-    mixed_label: str = "I/d",
-    tol: float = VALIDITY_TOL,
 ) -> DeterminismReport:
     """Check the chain from preparation noncontextuality to sharp determinism.
 
     For a rank-1 PVM whose elements double as an orthogonal set of pure
     preparations, verifies that (i) the preparation distributions have
     pairwise disjoint supports, (ii) the union of those supports equals the
-    support of the completely mixed state's distribution and exhausts the
-    whole space, and (iii) the uniform 1/d mixture of the distributions
-    reproduces the completely mixed distribution.  When all three hold, the
+    support of the completely mixed state's distribution (``MIXED_LABEL``)
+    and exhausts the whole space, and (iii) the uniform 1/d mixture of the
+    distributions reproduces the completely mixed distribution.  When all three hold, the
     PVM's indicator functions are certified idempotent (and reproduce the
     Kronecker-delta statistics on the given preparations).  The report names
     the first failing step otherwise.
     """
     if pvm_label not in model.meas_map:
         raise KeyError(f"model has no indicator set for {pvm_label!r}")
-    for label in list(prep_labels) + [mixed_label]:
+    for label in list(prep_labels) + [MIXED_LABEL]:
         if label not in model.prep_map:
             raise KeyError(f"model has no distribution for {label!r}")
     if len(prep_labels) != d:
         raise ValueError(f"expected {d} preparations for a rank-1 PVM in dimension {d}")
 
     mus = [model.prep_map[label] for label in prep_labels]
-    mu_mixed = model.prep_map[mixed_label]
+    mu_mixed = model.prep_map[MIXED_LABEL]
     steps: list[DeterminismStep] = []
 
     overlaps = [
         (prep_labels[i], prep_labels[j])
         for i in range(len(mus))
         for j in range(i + 1, len(mus))
-        if not disjoint(mus[i], mus[j], tol=tol)
+        if not disjoint(mus[i], mus[j])
     ]
     steps.append(
         DeterminismStep(
@@ -390,8 +390,8 @@ def outcome_determinism_from_prep_nc(
         )
     )
 
-    union = frozenset().union(*(support(mu, tol=tol) for mu in mus))
-    mixed_support = support(mu_mixed, tol=tol)
+    union = frozenset().union(*(support(mu) for mu in mus))
+    mixed_support = support(mu_mixed)
     full = frozenset(range(model.space.size))
     ok_union = union == mixed_support == full
     steps.append(
@@ -406,7 +406,7 @@ def outcome_determinism_from_prep_nc(
     mix = sum(mu.weights for mu in mus) / d
     mix_dev = float(np.abs(mix - mu_mixed.weights).max())
     steps.append(
-        DeterminismStep("mixture-sum", mix_dev <= tol, f"max deviation {mix_dev:.3e}")
+        DeterminismStep("mixture-sum", mix_dev <= VALIDITY_TOL, f"max deviation {mix_dev:.3e}")
     )
 
     premises_ok = all(s.passed for s in steps)
@@ -419,7 +419,7 @@ def outcome_determinism_from_prep_nc(
                 target = np.zeros(xi.outcome_count)
                 target[k] = 1.0
                 stats_dev = max(stats_dev, float(np.abs(probs - target).max()))
-        idempotent = is_outcome_deterministic(xi, tol=tol) and stats_dev <= tol
+        idempotent = is_outcome_deterministic(xi) and stats_dev <= VALIDITY_TOL
         steps.append(
             DeterminismStep(
                 "indicators-idempotent",

@@ -71,10 +71,10 @@ class MixtureDecl:
         object.__setattr__(self, "components", tuple((float(w), str(l)) for w, l in self.components))
 
 
-def _check_weights(weights: Sequence[float], tol: float) -> None:
-    if any(w < -tol for w in weights):
+def _check_weights(weights: Sequence[float]) -> None:
+    if any(w < -VALIDITY_TOL for w in weights):
         raise ValueError("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > tol:
+    if abs(sum(weights) - 1.0) > VALIDITY_TOL:
         raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
 
 
@@ -122,7 +122,7 @@ class OperationalTheory:
         worst = 0.0
         for decl in self.mixtures:
             weights = [w for w, _ in decl.components]
-            _check_weights(weights, VALIDITY_TOL)
+            _check_weights(weights)
             if decl.kind == "prep":
                 target = self.preparations[decl.target].rho.matrix
                 total = sum(w * self.preparations[l].rho.matrix for w, l in decl.components)
@@ -249,10 +249,10 @@ def meas_equivalent(
     return None
 
 
-def transf_equivalent(s: Transformation, t: Transformation, tol: float = IDENTITY_TOL) -> bool:
+def transf_equivalent(s: Transformation, t: Transformation) -> bool:
     if (s.channel.dim_in, s.channel.dim_out) != (t.channel.dim_in, t.channel.dim_out):
         raise ValueError("transformations act on different dimensions")
-    return channels_equal(s.channel, t.channel, tol=tol)
+    return channels_equal(s.channel, t.channel, tol=IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +263,10 @@ def _mixture_note(components: Sequence[tuple[float, str]]) -> str:
     return "mixture: " + " + ".join(f"{w:g}*{label}" for w, label in components)
 
 
-def mix_preparations(
-    components: Sequence[tuple[float, Preparation]], label: str, tol: float = VALIDITY_TOL
-) -> Preparation:
+def mix_preparations(components: Sequence[tuple[float, Preparation]], label: str) -> Preparation:
     """Convex mixture of preparations; component labels are kept as the context."""
     weights = [w for w, _ in components]
-    _check_weights(weights, tol)
+    _check_weights(weights)
     dims = {p.rho.dim for _, p in components}
     if len(dims) != 1:
         raise ValueError("mixture components act on different dimensions")
@@ -277,12 +275,10 @@ def mix_preparations(
     return Preparation(label, DensityOperator(rho), note)
 
 
-def mix_measurements(
-    components: Sequence[tuple[float, Measurement]], label: str, tol: float = VALIDITY_TOL
-) -> Measurement:
+def mix_measurements(components: Sequence[tuple[float, Measurement]], label: str) -> Measurement:
     """Element-wise convex mixture of measurements with equal outcome counts."""
     weights = [w for w, _ in components]
-    _check_weights(weights, tol)
+    _check_weights(weights)
     counts = {m.povm.outcome_count for _, m in components}
     if len(counts) != 1:
         raise ValueError("mixture components have different outcome counts")
@@ -319,12 +315,10 @@ def coarse_grain_povm(
     return Measurement(new_label, Povm(effects), note)
 
 
-def mix_channels(
-    components: Sequence[tuple[float, Transformation]], label: str, tol: float = VALIDITY_TOL
-) -> Transformation:
+def mix_channels(components: Sequence[tuple[float, Transformation]], label: str) -> Transformation:
     """Convex mixture of channels via the union of sqrt(weight)-scaled Kraus sets."""
     weights = [w for w, _ in components]
-    _check_weights(weights, tol)
+    _check_weights(weights)
     dims = {(t.channel.dim_in, t.channel.dim_out) for _, t in components}
     if len(dims) != 1:
         raise ValueError("mixture components act on different dimensions")

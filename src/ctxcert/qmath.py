@@ -199,21 +199,21 @@ def pure_density(psi: Sequence[complex]) -> DensityOperator:
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def born_probability(rho: DensityOperator, effect: Effect, tol: float = VALIDITY_TOL) -> float:
+def born_probability(rho: DensityOperator, effect: Effect) -> float:
     """Outcome probability ``Tr(rho E)``, clamped to [0, 1] near the boundary.
 
     Raises ``ValueError`` on a dimension mismatch or if the trace acquires an
-    imaginary part beyond ``tol`` (which signals invalid inputs).
+    imaginary part beyond ``VALIDITY_TOL`` (which signals invalid inputs).
     """
     if rho.dim != effect.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {effect.dim}")
     t = complex(np.trace(rho.matrix @ effect.matrix))
-    if abs(t.imag) > tol:
+    if abs(t.imag) > VALIDITY_TOL:
         raise ValueError(f"Tr(rho E) has imaginary part {t.imag:.3e}")
     p = t.real
-    if -tol <= p < 0.0:
+    if -VALIDITY_TOL <= p < 0.0:
         return 0.0
-    if 1.0 < p <= 1.0 + tol:
+    if 1.0 < p <= 1.0 + VALIDITY_TOL:
         return 1.0
     return p
 

@@ -133,10 +133,11 @@ class TestFeasibilityCommand:
         assert code == 2
 
     @staticmethod
-    def _theory_file(tmp_path, mixtures):
-        """A theory of a, A, b and the given ``(target, components)`` mixtures."""
-        states = hexagon_states()
-        preps = {name: Preparation(name, states[name]) for name in ("a", "A", "b")}
+    def _theory_file(tmp_path, mixtures, states=("a", "A", "b")):
+        """A theory of the given hexagon states and the given
+        ``(target, components)`` mixtures."""
+        hexagon = hexagon_states()
+        preps = {name: Preparation(name, hexagon[name]) for name in states}
         decls = []
         for target, components in mixtures:
             preps[target] = mix_preparations([(w, preps[l]) for w, l in components], target)
@@ -160,6 +161,13 @@ class TestFeasibilityCommand:
         code, _, stderr = _run(capsys, "feasibility", str(path))
         assert code == 2
         assert "mixture component 'aA' is itself a mixture target" in stderr
+
+    def test_weight_without_an_exact_rational_exits_two(self, capsys, tmp_path):
+        w = 0.123456789012
+        path = self._theory_file(tmp_path, [("m", ((w, "a"), (1 - w, "A")))], states=("a", "A"))
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "no small exact rational representation" in stderr
 
 
 class TestSimulateCommand:
@@ -263,6 +271,12 @@ class TestFlagValidation:
             main(argv + ["--tol", "1e-6"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_format_is_a_usage_error_on_figure_bloch(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure-bloch", "--format", "text"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 class TestExitCodeContract:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from ctxcert import nogo
 from ctxcert.nogo import (
     ConstraintSystem,
+    VerificationError,
     gleason_contradiction,
     meas_nogo,
     od_unsharp_contradiction,
@@ -18,7 +20,17 @@ from ctxcert.nogo import (
     trivial_povm_forced_indicator,
 )
 from ctxcert.ontomodel import is_outcome_deterministic
-from ctxcert.operational import hexagon_state_vectors, hexagon_theory
+from ctxcert.operational import (
+    Measurement,
+    MixtureDecl,
+    OperationalTheory,
+    Preparation,
+    hexagon_state_vectors,
+    hexagon_states,
+    hexagon_theory,
+    mix_preparations,
+)
+from ctxcert.qmath import Effect, Povm, identity
 
 from feasibility_oracle import brute_force_feasible, random_system
 
@@ -53,6 +65,24 @@ TRANSF_SYSTEM_JSON = {
 
 def _prep_system() -> ConstraintSystem:
     return system_from_theory(hexagon_theory())
+
+
+def _coin_flip_theory(pvms, components) -> OperationalTheory:
+    """States a, A and their balanced mixture aA, the PVMs given as
+    ``{label: (state per outcome, ...)}``, the coin flip ``Mtrivial`` and a
+    measurement ``M`` equal to it, declared as the mixture ``components``."""
+    states = hexagon_states()
+    preps = [Preparation(label, states[label]) for label in ("a", "A")]
+    preps.append(mix_preparations([(0.5, p) for p in preps], "aA"))
+    coin = Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
+    measurements = [
+        Measurement(label, Povm(tuple(Effect(states[s].matrix) for s in outcomes)))
+        for label, outcomes in pvms.items()
+    ]
+    measurements += [Measurement("M", coin), Measurement("Mtrivial", coin)]
+    return OperationalTheory(
+        preps, measurements=measurements, mixtures=[MixtureDecl("meas", "M", components)]
+    )
 
 
 def _pattern_cone_is_zero(system: ConstraintSystem, forced: frozenset) -> bool:
@@ -246,6 +276,36 @@ class TestMeasNogo:
         assert by_pattern[(0, 0, 0)] == ("1", "0")
         assert by_pattern[(1, 1, 1)] == ("0", "1")
         assert by_pattern[(0, 0, 1)] == ("2/3", "1/3")
+
+    def test_zeroed_labels_are_pinned(self, meas_cert):
+        assert [row.zeroed for row in meas_cert.cases] == [
+            ("A", "B", "C"),
+            ("A", "B", "c"),
+            ("A", "C", "b"),
+            ("A", "b", "c"),
+            ("B", "C", "a"),
+            ("B", "a", "c"),
+            ("C", "a", "b"),
+            ("a", "b", "c"),
+        ]
+
+    def test_a_mixture_that_reaches_the_coin_values_is_refused(self, monkeypatch):
+        # Ma and Ma with its outcomes swapped, mixed evenly, equal the coin
+        # flip; the assignment (0, 1) mixes to exactly (1/2, 1/2).
+        theory = _coin_flip_theory(
+            {"Ma": ("a", "A"), "Ma_swapped": ("A", "a")}, ((0.5, "Ma"), (0.5, "Ma_swapped"))
+        )
+        monkeypatch.setattr(nogo, "hexagon_theory", lambda: theory)
+        with pytest.raises(VerificationError, match=r"assignment \(0, 1\) mixes to the forced"):
+            meas_nogo()
+
+    def test_an_unsharp_mixture_component_is_refused(self, monkeypatch):
+        # The coin flip's effects equal the state aA, but it has no
+        # deterministic representation to enumerate.
+        theory = _coin_flip_theory({}, ((1.0, "Mtrivial"),))
+        monkeypatch.setattr(nogo, "hexagon_theory", lambda: theory)
+        with pytest.raises(VerificationError, match="'Mtrivial' is not a PVM"):
+            meas_nogo()
 
     def test_values_stay_in_the_allowed_set_and_never_split_evenly(self, meas_cert):
         allowed = {("1", "0"), ("0", "1"), ("2/3", "1/3"), ("1/3", "2/3")}
