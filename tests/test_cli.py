@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ctxcert.cli import main, render_bloch_disk_svg
+from ctxcert.nogo import MAX_DISJOINT_PAIRS
 from ctxcert.operational import (
     MixtureDecl,
     OperationalTheory,
@@ -131,6 +132,21 @@ class TestFeasibilityCommand:
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, _ = _run(capsys, "feasibility", str(tmp_path / "absent.json"))
         assert code == 2
+
+    def test_one_pair_over_the_enumeration_bound_exits_two(self, capsys, tmp_path):
+        n = MAX_DISJOINT_PAIRS + 1
+        path = tmp_path / "large.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "variables": [f"v{i}" for i in range(2 * n)],
+                    "disjoint_pairs": [[f"v{2 * i}", f"v{2 * i + 1}"] for i in range(n)],
+                }
+            )
+        )
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "exceed the enumeration bound" in stderr
 
     @staticmethod
     def _theory_file(tmp_path, mixtures, states=("a", "A", "b")):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -32,7 +33,7 @@ from ctxcert.operational import (
 )
 from ctxcert.qmath import Effect, Povm, identity
 
-from feasibility_oracle import brute_force_feasible, random_system
+from feasibility_oracle import _rank, brute_force_feasible, random_system
 
 
 #: The preparation system of the hexagon: three antipodal pairs and the
@@ -83,6 +84,31 @@ def _coin_flip_theory(pvms, components) -> OperationalTheory:
     return OperationalTheory(
         preps, measurements=measurements, mixtures=[MixtureDecl("meas", "M", components)]
     )
+
+
+def _polygon_system(k: int) -> ConstraintSystem:
+    """The regular 2k-gon: vertex i antipodal to vertex i + k, the k pair
+    mixtures and the uniform mixtures of the even and of the odd vertices."""
+    names = [f"p{i}" for i in range(2 * k)]
+    forms = [{names[i]: "1/2", names[i + k]: "1/2"} for i in range(k)]
+    forms += [{names[i]: f"1/{k}" for i in range(parity, 2 * k, 2)} for parity in (0, 1)]
+    return ConstraintSystem(names, [(names[i], names[i + k]) for i in range(k)], forms)
+
+
+def _sha256(cert) -> str:
+    return hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Replace ``nogo.<name>`` by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(nogo, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(nogo, name, counted)
+    return calls
 
 
 def _pattern_cone_is_zero(system: ConstraintSystem, forced: frozenset) -> bool:
@@ -173,6 +199,12 @@ class TestPointwiseFeasibility:
         with pytest.raises(ValueError):
             pointwise_feasibility(ConstraintSystem(variables, pairs))
 
+    def test_one_pair_over_the_bound_fails_before_enumerating(self, monkeypatch):
+        calls = _counting(monkeypatch, "_pattern_extreme_rays")
+        with pytest.raises(ValueError, match="exceed the enumeration bound"):
+            pointwise_feasibility(_polygon_system(nogo.MAX_DISJOINT_PAIRS + 1))
+        assert calls == []
+
     def test_case_table_covers_every_pattern(self):
         cert = pointwise_feasibility(_prep_system())
         assert len(cert.cases) == 2 ** len(cert.system.disjoint_pairs)
@@ -197,6 +229,52 @@ class TestPointwiseFeasibility:
         ]
         scaled = ConstraintSystem(base.variables, base.disjoint_pairs, scaled_forms)
         assert not pointwise_feasibility(scaled).feasible
+
+
+class TestStageOne:
+    def test_nullspace_basis_spans_the_kernel(self):
+        rng = np.random.default_rng(20261018)
+        cases = [([], 3), ([[0, 0, 0]], 3), ([[0, 0], [0, 0]], 2), ([[1, 2, 3], [1, 2, 3]], 3)]
+        for _ in range(300):
+            n_rows, n_cols = int(rng.integers(0, 5)), int(rng.integers(1, 6))
+            rows = rng.integers(-4, 5, size=(n_rows, n_cols)).tolist()
+            if rows and rng.random() < 0.3:
+                rows.append(list(rows[int(rng.integers(len(rows)))]))  # duplicate row
+            if rng.random() < 0.2:
+                rows.append([0] * n_cols)
+            cases.append((rows, n_cols))
+        for rows, n_cols in cases:
+            basis = nogo._nullspace(rows, n_cols)
+            # An independent Fraction rank: the basis must have n - rank members.
+            assert len(basis) == n_cols - _rank([list(map(Fraction, row)) for row in rows])
+            for vec in basis:
+                assert all(isinstance(x, int) for x in vec)
+                assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+            if basis:
+                assert _rank([list(map(Fraction, vec)) for vec in basis]) == len(basis)
+
+    def test_rays_are_enumerated_once_per_certification(self, monkeypatch):
+        calls = _counting(monkeypatch, "_pattern_extreme_rays")
+        for system in (_prep_system(), _polygon_system(4)):
+            calls.clear()
+            pointwise_feasibility(system)
+            assert calls == [(system, frozenset())]
+
+    def test_supports_holding_a_pair_are_never_tried(self, monkeypatch):
+        # Three pairs leave 3**3 - 1 nonempty supports; one more solve finds the rank.
+        calls = _counting(monkeypatch, "_nullspace")
+        pointwise_feasibility(_prep_system())
+        assert len(calls) == 3**3 - 1 + 1
+
+    def test_each_pattern_gets_the_full_cone_rays_avoiding_its_zeros(self):
+        system = _polygon_system(4)
+        rays = nogo._pattern_extreme_rays(system, frozenset())
+        for row in pointwise_feasibility(system).cases:
+            face = nogo._pattern_extreme_rays(system, frozenset(row.zeroed))
+            assert face and face == [
+                r for r in rays if all(r[system.variables.index(v)] == 0 for v in row.zeroed)
+            ]
+            assert row.ray == tuple(str(x) for x in face[0])
 
 
 @pytest.fixture(scope="module")
@@ -484,3 +562,41 @@ class TestMinimalityProbe:
         cert = pointwise_feasibility(self._drop(base, {3, 4}))
         assert cert.feasible
         assert cert.witness is not None
+
+
+class TestGoldenCertificates:
+    """Certificate bytes pinned by sha256: ``json.dumps(cert.to_json(), indent=2)``."""
+
+    POLYGON = {
+        2: "ccfcbe660297dd9b7de41471725a778d1fcbf20e34e6ae899b090e250b5fcdb8",
+        3: "46f6b21b47818b1e43d6761b392ee5edfa87f964f1cad63fa8403b63eeeb99d9",
+        4: "875e633b2615f3d5309f66a3904beb5cb036b61bbb113917fbdb90edf660b3a1",
+        5: "91677645107d73c36acf7f8e0ad34d19527341ebcf17f02e0d842f7788f839f7",
+        6: "0cddf8add5342306c38fa41907784bb57920b7377bbcc2e182e21dfe16be7400",
+        7: "b78ebf772ac16d525eefcadb448364db17a0ef784be6b67eb279a4e46133733a",
+    }
+
+    @pytest.mark.parametrize("k", sorted(POLYGON))
+    def test_polygon(self, k):
+        assert _sha256(pointwise_feasibility(_polygon_system(k))) == self.POLYGON[k]
+
+    def test_drivers(self, prep_cert, transf_cert, meas_cert):
+        assert _sha256(prep_cert) == (
+            "fb51e3944f23f56c8254453b36092460af4c38b9232b6e91ce277ae1ee6c64a1"
+        )
+        assert _sha256(transf_cert) == (
+            "ec5b6cc14a04f4cbe41f00e56b8ce60ee329c089a9829cb8db466b0c8bb73f41"
+        )
+        assert _sha256(meas_cert) == (
+            "c565492fd95c81109ec3f95c69f7e1b616da1f044b473b02cb4532ea21ec03df"
+        )
+
+    def test_random_systems(self):
+        rng = np.random.default_rng(300)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            cert = pointwise_feasibility(random_system(rng))
+            digest.update(json.dumps(cert.to_json(), indent=2).encode())
+        assert digest.hexdigest() == (
+            "84808726ba2ef1e8696cba0b41f5d39beb06266082a77dc4e07615881899940d"
+        )
