@@ -109,17 +109,16 @@ def bb_indicator(povm: Povm, psi: PureOnticState) -> np.ndarray:
     return np.array([born_probability(rho, e) for e in povm.effects])
 
 
-def bb_sample(prep: BBPreparation, n: int, seed: int) -> list[PureOnticState]:
-    """Draw ``n`` i.i.d. ontic states from the preparation's mixture.
+def bb_sample(prep: BBPreparation, n: int, seed: int) -> np.ndarray:
+    """Draw ``n`` i.i.d. ontic states from the preparation's mixture, as
+    indices into ``prep.mixture``.
 
     Deterministic given ``seed``; component choice is inverse-CDF over the
     mixture weights in declaration order.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    indices = _component_indices(prep, n, _rng(seed))
-    states = [s for _, s in prep.mixture]
-    return [states[i] for i in indices]
+    return _component_indices(prep, n, _rng(seed))
 
 
 def _component_indices(prep: BBPreparation, n: int, rng: np.random.Generator) -> np.ndarray:

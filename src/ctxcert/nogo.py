@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
@@ -39,14 +38,16 @@ from .operational import (
 )
 from .qmath import (
     IDENTITY_TOL,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     VALIDITY_TOL,
-    DensityOperator,
     Effect,
     Povm,
     apply_channel,
     born_probability,
     choi_deviation,
-    density_from_bloch,
+    complex_to_json,
     identity,
     matrix_to_json,
     pure_density,
@@ -441,6 +442,14 @@ def _derive_all_zero(
 # The certifier.
 
 
+def linprog(*args, **kwargs):
+    """Forward to ``scipy.optimize.linprog``, the stage-2 solver."""
+    # Deferred: importing scipy.optimize costs most of a cold start, and only stage 2 needs it.
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
+
+
 def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
     """Decide whether normalized distributions can satisfy the system.
 
@@ -670,18 +679,15 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
     must agree.
     """
     half_identity = Effect(identity(2) / 2)
-    probes = [pure_density(v) for v in hexagon_state_vectors().values()]
-    probes.append(DensityOperator(identity(2) / 2))
-    # The y-axis states complete a spanning set of Hermitian operators, so
-    # constancy on these probes implies constancy on every state (the Born
-    # value is affine in the state).
-    probes.append(density_from_bloch((0.0, 1.0, 0.0)))
-    probes.append(density_from_bloch((0.0, -1.0, 0.0)))
-    born_values = [born_probability(rho, half_identity) for rho in probes]
-    dev = max(abs(p - 0.5) for p in born_values)
+    # For the state with Bloch vector r, Tr(rho E) = (tr E + r . (tr XE, tr YE, tr ZE)) / 2,
+    # so over the whole Bloch ball it strays from 1/2 by at most this much.
+    m = half_identity.matrix
+    pauli_traces = [np.trace(p @ m) for p in (PAULI_X, PAULI_Y, PAULI_Z)]
+    dev = (abs(np.trace(m) - 1.0) + float(np.linalg.norm(pauli_traces))) / 2
     if dev > IDENTITY_TOL:
         raise VerificationError(f"coin-flip statistics depend on the state (dev {dev:.3e})")
-    by_independence = (born_values[0], 1.0 - born_values[0])
+    born = born_probability(pure_density(hexagon_state_vectors()["a"]), half_identity)
+    by_independence = (born, 1.0 - born)
 
     # Exact solve of xi_1 - xi_2 = 0, xi_1 + xi_2 = 1: the kernel (xi_1, xi_2, 1) up to scale.
     (kernel,) = _nullspace([[1, -1, 0], [1, 1, -1]], 3)
@@ -765,7 +771,8 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
     noncontextuality: the coin-flip POVM's forced constant representation is
     not idempotent."""
     forced = trivial_povm_forced_indicator()
-    coin = Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
+    half = Effect(identity(2) / 2)
+    coin = Povm((half, half))
     deterministic = is_outcome_deterministic(forced.indicator_set(size=1))
     return OdUnsharpReport(
         povm=coin,
@@ -848,8 +855,6 @@ class GleasonWitness:
     contradiction: bool
 
     def to_json(self) -> dict:
-        from .qmath import complex_to_json
-
         return {
             "psi": [complex_to_json(z) for z in self.psi],
             "psi_prime": [complex_to_json(z) for z in self.psi_prime],

@@ -85,8 +85,8 @@ class TestSampling:
     def test_pure_preparation_yields_copies(self, vectors):
         prep = BBPreparation(((1.0, PureOnticState(vectors["c"])),))
         draws = bb_sample(prep, 25, seed=1)
-        assert len(draws) == 25
-        assert all(s.same_ray(PureOnticState(vectors["c"])) for s in draws)
+        assert draws.shape == (25,)
+        assert (draws == 0).all()
 
     def test_balanced_mixture_frequency_within_three_sigma(self, vectors):
         prep = BBPreparation(
@@ -94,7 +94,7 @@ class TestSampling:
         )
         n = 100_000
         draws = bb_sample(prep, n, seed=99)
-        first = sum(1 for s in draws if s.same_ray(PureOnticState(vectors["a"])))
+        first = int(np.count_nonzero(draws == 0))
         sigma = math.sqrt(0.25 / n)
         assert abs(first / n - 0.5) <= 3 * sigma
 
@@ -104,7 +104,7 @@ class TestSampling:
         )
         first = bb_sample(prep, 500, seed=42)
         second = bb_sample(prep, 500, seed=42)
-        assert all(x.same_ray(y) for x, y in zip(first, second))
+        assert np.array_equal(first, second)
 
     def test_sample_count_validated(self, vectors):
         prep = BBPreparation(((1.0, PureOnticState(vectors["a"])),))

@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,3 +604,61 @@ class TestGoldenCertificates:
         assert digest.hexdigest() == (
             "84808726ba2ef1e8696cba0b41f5d39beb06266082a77dc4e07615881899940d"
         )
+
+
+class TestDeferredScipy:
+    """scipy is imported only when stage 2 runs, which no hexagon command reaches."""
+
+    SCRIPT = """
+import json, sys
+from pathlib import Path
+from ctxcert.cli import main
+
+out, hexagon, polygon = sys.argv[1:]
+commands = [
+    ["nogo", "prep"], ["nogo", "meas"], ["nogo", "transf"], ["nogo", "gleason"],
+    ["nogo", "od-unsharp"], ["feasibility", hexagon],
+    ["simulate-bb", "--prep", "0.5:a,0.5:A", "--povm", "b", "--samples", "1000"],
+    ["figure-bloch"],
+]
+codes = [main(argv + ["--out", out]) for argv in commands]
+before = "scipy" in sys.modules
+feasible = main(["feasibility", polygon, "--out", out])
+print(json.dumps({
+    "codes": codes,
+    "scipy_before": before,
+    "feasible": [feasible, json.loads(Path(out).read_text())["verdict"]],
+    "optimize_after": "scipy.optimize" in sys.modules,
+}))
+"""
+
+    def test_only_a_stage_two_solve_imports_scipy(self, tmp_path):
+        hexagon = tmp_path / "hexagon.json"
+        hexagon.write_text(json.dumps(_prep_system().to_json()))
+        polygon = tmp_path / "polygon.json"
+        polygon.write_text(json.dumps(_polygon_system(2).to_json()))
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path / "out"), str(hexagon), str(polygon)],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["codes"] == [0, 0, 0, 0, 0, 3, 0, 0]
+        assert report["scipy_before"] is False
+        assert report["feasible"] == [0, "Feasible"]
+        assert report["optimize_after"] is True
+
+    def test_stage_two_calls_the_module_attribute(self, monkeypatch):
+        calls = []
+        original = nogo.linprog
+
+        def stub(*args, **kwargs):
+            calls.append(kwargs["method"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nogo, "linprog", stub)
+        assert pointwise_feasibility(_polygon_system(2)).feasible
+        assert calls == ["highs"]
