@@ -4,7 +4,6 @@ machine-checked contextuality no-go certificates."""
 from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
-    ChoiMatrix,
     DensityOperator,
     Effect,
     KrausChannel,
@@ -26,6 +25,7 @@ from .operational import (
     Preparation,
     Transformation,
     coarse_grain_povm,
+    coin_flip_povm,
     hexagon_theory,
     meas_equivalent,
     mix_channels,

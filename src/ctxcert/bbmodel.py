@@ -14,6 +14,7 @@ use inverse-CDF lookups in outcome order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .qmath import (
     Effect,
     Povm,
     born_probability,
+    frozen_array,
     matrix_to_json,
     pure_density,
 )
@@ -50,7 +52,7 @@ class PureOnticState:
     psi: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.psi, dtype=complex).reshape(-1)
+        v = frozen_array(self.psi).reshape(-1)
         if v.shape != (2,):
             raise ValueError("a qubit ontic state has exactly two components")
         norm = np.linalg.norm(v)
@@ -60,8 +62,7 @@ class PureOnticState:
         leading = v[np.flatnonzero(np.abs(v) > RAY_TOL)[0]]
         v = v * (leading.conjugate() / abs(leading))
         v = v + (0.0 + 0.0j)  # collapse negative zeros
-        v.setflags(write=False)
-        object.__setattr__(self, "psi", v)
+        object.__setattr__(self, "psi", frozen_array(v))
 
     def same_ray(self, other: "PureOnticState") -> bool:
         return bool(np.abs(self.psi - other.psi).max() <= RAY_TOL)
@@ -81,6 +82,8 @@ class BBPreparation:
         if not entries:
             raise ValueError("a preparation needs at least one component")
         weights = [w for w, _ in entries]
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError("mixture weights must be finite")
         if any(w < 0 for w in weights):
             raise ValueError("mixture weights must be nonnegative")
         if abs(sum(weights) - 1.0) > VALIDITY_TOL:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def _emit_doc(doc: dict, args: argparse.Namespace, summary: str) -> None:
     if args.format == "text":
         payload = _render_text(doc) + "\n"
     else:
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     _emit(payload, args.out, summary)
 
 
@@ -108,7 +109,11 @@ def cmd_nogo(args: argparse.Namespace) -> int:
         ok = not cert.feasible
     elif target == "gleason":
         vectors = hexagon_state_vectors()
-        witness = nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
+        try:
+            witness = nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         doc = witness.to_json()
         summary = f"gleason: forced fractional value {witness.forced_value:.6f}"
         ok = witness.contradiction
@@ -357,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", 1e-9) <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
+    if not 0 < getattr(args, "tol", 1e-9) < math.inf:
+        print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "samples", 1) < 1:
         print("error: --samples must be at least 1", file=sys.stderr)

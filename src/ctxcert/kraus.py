@@ -23,6 +23,7 @@ from .qmath import (
     bloch_from_density,
     choi_deviation,
     density_from_bloch,
+    frozen_array,
     identity,
 )
 
@@ -34,13 +35,11 @@ class RemixMatrix:
     u: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.u, dtype=complex)
+        m = frozen_array(self.u)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("remix matrix must be square")
         if np.abs(m @ m.conj().T - identity(m.shape[0])).max() > VALIDITY_TOL:
             raise ValueError("remix matrix must be unitary")
-        m = np.array(m)
-        m.setflags(write=False)
         object.__setattr__(self, "u", m)
 
     @property

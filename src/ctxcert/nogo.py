@@ -32,6 +32,7 @@ from .operational import (
     MixtureDecl,
     OperationalTheory,
     channel_decompositions,
+    coin_flip_povm,
     hexagon_state_vectors,
     hexagon_theory,
     prep_equivalent,
@@ -46,6 +47,7 @@ from .qmath import (
     Povm,
     apply_channel,
     born_probability,
+    channel_action,
     choi_deviation,
     complex_to_json,
     identity,
@@ -678,7 +680,7 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
     satisfy ``xi_1 = xi_2`` alongside ``xi_1 + xi_2 = 1``.  Both derivations
     must agree.
     """
-    half_identity = Effect(identity(2) / 2)
+    half_identity = coin_flip_povm()[0]
     # For the state with Bloch vector r, Tr(rho E) = (tr E + r . (tr XE, tr YE, tr ZE)) / 2,
     # so over the whole Bloch ball it strays from 1/2 by at most this much.
     m = half_identity.matrix
@@ -771,8 +773,7 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
     noncontextuality: the coin-flip POVM's forced constant representation is
     not idempotent."""
     forced = trivial_povm_forced_indicator()
-    half = Effect(identity(2) / 2)
-    coin = Povm((half, half))
+    coin = coin_flip_povm()
     deterministic = is_outcome_deterministic(forced.indicator_set(size=1))
     return OdUnsharpReport(
         povm=coin,
@@ -823,10 +824,10 @@ def transf_nogo() -> Certificate:
     worst = 0.0
     for k in range(DISJOINT_IMAGE_GRID):
         phi = 2 * math.pi * k / DISJOINT_IMAGE_GRID
-        rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)]))
+        rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)])).matrix
         for u, v in opposite_pairs:
-            out1 = apply_channel(channels[u], rho).matrix
-            out2 = apply_channel(channels[v], rho).matrix
+            out1 = channel_action(channels[u], rho)
+            out2 = channel_action(channels[v], rho)
             worst = max(worst, abs(complex(np.trace(out1 @ out2))))
     checks.append(PremiseCheck("disjoint-image", worst))
     return _certify_infeasible(system, checks, "transformation")

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .operational import OperationalTheory
-from .qmath import VALIDITY_TOL, apply_channel, born_probability
+from .qmath import VALIDITY_TOL, apply_channel, born_probability, frozen_array
 
 #: Label of the completely mixed state in ``outcome_determinism_from_prep_nc``.
 MIXED_LABEL = "I/d"
@@ -41,15 +41,13 @@ class Distribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float).reshape(-1)
+        w = frozen_array(self.weights, float).reshape(-1)
         if w.size < 1:
             raise ValueError("empty distribution")
         if w.min() < -VALIDITY_TOL:
             raise ValueError(f"negative probability {w.min():.3e}")
         if abs(w.sum() - 1.0) > VALIDITY_TOL:
             raise ValueError(f"distribution sums to {w.sum()}, not 1")
-        w = np.array(w)
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
     @property
@@ -64,7 +62,7 @@ class IndicatorSet:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
+        v = frozen_array(self.values, float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError("indicator values must form a K x N array")
         if v.min() < -VALIDITY_TOL or v.max() > 1.0 + VALIDITY_TOL:
@@ -72,8 +70,6 @@ class IndicatorSet:
         cols = v.sum(axis=0)
         if np.abs(cols - 1.0).max() > VALIDITY_TOL:
             raise ValueError("indicator columns must sum to 1 for every ontic state")
-        v = np.array(v)
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -92,7 +88,7 @@ class TransitionMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
+        m = frozen_array(self.matrix, float)
         if m.ndim != 2:
             raise ValueError("transition matrix must be 2-d")
         if m.min() < -VALIDITY_TOL:
@@ -100,8 +96,6 @@ class TransitionMatrix:
         cols = m.sum(axis=0)
         if np.abs(cols - 1.0).max() > VALIDITY_TOL:
             raise ValueError("each transition-matrix column must sum to 1")
-        m = np.array(m)
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

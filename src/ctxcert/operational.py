@@ -72,6 +72,8 @@ class MixtureDecl:
 
 
 def _check_weights(weights: Sequence[float]) -> None:
+    if not all(math.isfinite(w) for w in weights):
+        raise ValueError("mixture weights must be finite")
     if any(w < -VALIDITY_TOL for w in weights):
         raise ValueError("mixture weights must be nonnegative")
     if abs(sum(weights) - 1.0) > VALIDITY_TOL:
@@ -136,10 +138,9 @@ class OperationalTheory:
                     total = sum(w * povm[k].matrix for (w, _), povm in zip(decl.components, parts))
                     worst = max(worst, float(np.abs(total - target[k].matrix).max()))
             else:
-                target = choi_matrix(self.transformations[decl.target].channel).matrix
+                target = choi_matrix(self.transformations[decl.target].channel)
                 total = sum(
-                    w * choi_matrix(self.transformations[l].channel).matrix
-                    for w, l in decl.components
+                    w * choi_matrix(self.transformations[l].channel) for w, l in decl.components
                 )
                 worst = max(worst, float(np.abs(total - target).max()))
         return worst
@@ -328,8 +329,8 @@ def mix_channels(components: Sequence[tuple[float, Transformation]], label: str)
         ops.extend(scale * op for op in t.channel.kraus_ops)
     mixed = KrausChannel(tuple(ops))
     # The Choi matrix is additive over Kraus terms, so this holds to rounding.
-    expected = sum(w * choi_matrix(t.channel).matrix for w, t in components)
-    dev = float(np.abs(choi_matrix(mixed).matrix - expected).max())
+    expected = sum(w * choi_matrix(t.channel) for w, t in components)
+    dev = float(np.abs(choi_matrix(mixed) - expected).max())
     if dev > 10 * IDENTITY_TOL:
         raise ArithmeticError(f"mixed channel deviates from the weighted sum by {dev:.3e}")
     note = _mixture_note([(w, t.label) for w, t in components])
@@ -383,6 +384,12 @@ def y_projection_channel() -> KrausChannel:
     return KrausChannel((s * unitary_rotation_y(0.0), s * unitary_rotation_y(math.pi)))
 
 
+def coin_flip_povm() -> Povm:
+    """The qubit POVM ``{I/2, I/2}``: both outcomes share one validated effect."""
+    half = Effect(identity(2) / 2)
+    return Povm((half, half))
+
+
 def hexagon_theory() -> OperationalTheory:
     """The canonical instance used by all the no-go drivers.
 
@@ -414,11 +421,7 @@ def hexagon_theory() -> OperationalTheory:
     mixed_meas = mix_measurements(
         [(w, pvms[l]) for w, l in meas_mixture_decl.components], meas_mixture_decl.target
     )
-    coin = Measurement(
-        "Mtrivial",
-        Povm((Effect(identity(2) / 2), Effect(identity(2) / 2))),
-        "ignores the system and flips a fair coin",
-    )
+    coin = Measurement("Mtrivial", coin_flip_povm(), "ignores the system and flips a fair coin")
 
     rotations = rotation_transformations()
     projection = Transformation("T", y_projection_channel())

@@ -5,6 +5,10 @@ Choi matrices, plus the scalar operations (Born rule, positivity tests,
 channel application) that the rest of the toolkit is built on.  All values
 are immutable after construction and safe for unrestricted concurrent reads.
 
+Each validated type checks its invariant in its constructor and nowhere
+else.  Matrices that are valid by construction from validated values (Choi
+matrices, raw channel images) are returned as read-only arrays, unchecked.
+
 JSON convention shared by every module in this package: a complex number
 serializes as a two-element array ``[re, im]``, and a matrix as a row-major
 nested list of such pairs.
@@ -25,15 +29,20 @@ VALIDITY_TOL = 1e-9
 IDENTITY_TOL = 1e-12
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array)
+def frozen_array(entries, dtype: type = complex) -> np.ndarray:
+    """Read-only copy of ``entries`` as a ``dtype`` array; NaN or infinite entries
+    raise ``ValueError``, before any check of the value they would be part of."""
+    out = np.array(entries, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise ValueError("entries must be finite (no NaN or infinity)")
     out.setflags(write=False)
     return out
 
 
 def as_cmatrix(entries, dim: int | None = None) -> np.ndarray:
-    """Coerce ``entries`` to a square complex matrix, optionally of size ``dim``."""
-    m = np.asarray(entries, dtype=complex)
+    """Read-only copy of ``entries`` as a finite square complex matrix,
+    optionally of size ``dim``."""
+    m = frozen_array(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if dim is not None and m.shape[0] != dim:
@@ -41,18 +50,21 @@ def as_cmatrix(entries, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    """Max entrywise deviation of ``m`` from its own conjugate transpose."""
-    return float(np.abs(m - m.conj().T).max())
+def hermitian_spectrum(m: np.ndarray, what: str, tol: float = VALIDITY_TOL) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of ``m``; raises ``ValueError`` (naming
+    ``what``) unless ``m`` equals its conjugate transpose entrywise within ``tol``."""
+    if np.abs(m - m.conj().T).max() > tol:
+        raise ValueError(f"{what} must be Hermitian")
+    return np.linalg.eigvalsh((m + m.conj().T) / 2)
 
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
-PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
-PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
+PAULI_X = frozen_array([[0, 1], [1, 0]])
+PAULI_Y = frozen_array([[0, -1j], [1j, 0]])
+PAULI_Z = frozen_array([[1, 0], [0, -1]])
 
 
 @dataclass(frozen=True)
@@ -63,15 +75,13 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = as_cmatrix(self.matrix)
-        if hermitian_deviation(m) > VALIDITY_TOL:
-            raise ValueError("density operator must be Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        eigs = hermitian_spectrum(m, "density operator")
         if eigs.min() < -VALIDITY_TOL:
             raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > VALIDITY_TOL:
             raise ValueError(f"density operator must have unit trace, got {tr}")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -86,12 +96,10 @@ class Effect:
 
     def __post_init__(self) -> None:
         m = as_cmatrix(self.matrix)
-        if hermitian_deviation(m) > VALIDITY_TOL:
-            raise ValueError("effect must be Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+        eigs = hermitian_spectrum(m, "effect")
         if eigs.min() < -VALIDITY_TOL or eigs.max() > 1.0 + VALIDITY_TOL:
             raise ValueError(f"effect spectrum {eigs} outside [0, 1]")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -143,7 +151,7 @@ class KrausChannel:
     kraus_ops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        ops = tuple(np.asarray(w, dtype=complex) for w in self.kraus_ops)
+        ops = tuple(frozen_array(w) for w in self.kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -153,7 +161,7 @@ class KrausChannel:
         total = sum(w.conj().T @ w for w in ops)
         if np.abs(total - identity(dim_in)).max() > VALIDITY_TOL:
             raise ValueError("channel is not trace preserving (sum W†W != I)")
-        object.__setattr__(self, "kraus_ops", tuple(_frozen(w) for w in ops))
+        object.__setattr__(self, "kraus_ops", ops)
 
     @property
     def dim_in(self) -> int:
@@ -162,31 +170,6 @@ class KrausChannel:
     @property
     def dim_out(self) -> int:
         return self.kraus_ops[0].shape[0]
-
-
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Channel-state image of a channel, unnormalized convention, trace ``dim_in``.
-
-    Ordering is fixed as output-system-first: ``C = sum_ij T(|i><j|) (x) |i><j|``.
-    """
-
-    matrix: np.ndarray
-    dim_in: int
-    dim_out: int
-
-    def __post_init__(self) -> None:
-        m = as_cmatrix(self.matrix, self.dim_in * self.dim_out)
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs.min() < -VALIDITY_TOL:
-            raise ValueError("Choi matrix must be positive semidefinite")
-        # Partial trace over the output factor must give I_{dim_in} for a
-        # trace-preserving channel.
-        blocks = m.reshape(self.dim_out, self.dim_in, self.dim_out, self.dim_in)
-        reduced = np.einsum("aiaj->ij", blocks)
-        if np.abs(reduced - identity(self.dim_in)).max() > VALIDITY_TOL:
-            raise ValueError("Choi matrix does not trace down to the identity")
-        object.__setattr__(self, "matrix", _frozen(m))
 
 
 def pure_density(psi: Sequence[complex]) -> DensityOperator:
@@ -224,11 +207,7 @@ def is_positive_semidefinite(m, tol: float = VALIDITY_TOL) -> bool:
     Uses a symmetric eigendecomposition rather than a Cholesky attempt so
     that near-singular projectors pass cleanly.  Rejects non-Hermitian input.
     """
-    a = as_cmatrix(m)
-    if hermitian_deviation(a) > tol:
-        raise ValueError("input is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh((a + a.conj().T) / 2)
-    return bool(eigs.min() >= -tol)
+    return bool(hermitian_spectrum(as_cmatrix(m), "input", tol).min() >= -tol)
 
 
 def density_from_bloch(r: Sequence[float]) -> DensityOperator:
@@ -278,7 +257,7 @@ def unitary_rotation_y(theta: float) -> np.ndarray:
     """
     c = np.cos(theta / 2)
     s = np.sin(theta / 2)
-    return _frozen(np.array([[c, -s], [s, c]], dtype=complex))
+    return frozen_array([[c, -s], [s, c]])
 
 
 def unitary_channel(u: np.ndarray) -> KrausChannel:
@@ -286,21 +265,27 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
     return KrausChannel((np.asarray(u, dtype=complex),))
 
 
-def choi_matrix(channel: KrausChannel) -> ChoiMatrix:
-    """Choi matrix ``C = sum_ij T(|i><j|) (x) |i><j|`` (trace equals ``dim_in``)."""
+def choi_matrix(channel: KrausChannel) -> np.ndarray:
+    """Read-only Choi matrix ``C = sum_ij T(|i><j|) (x) |i><j|``, output system
+    first, unnormalized (trace ``dim_in``).
+
+    It needs no check of its own: as a sum of ``vec(W) vec(W)†`` it is
+    positive semidefinite, and its partial trace over the output is the
+    conjugate of ``sum W†W``, which ``KrausChannel`` requires to equal I.
+    """
     d = channel.dim_in * channel.dim_out
     c = np.zeros((d, d), dtype=complex)
     for w in channel.kraus_ops:
         v = w.reshape(-1)
         c += np.outer(v, v.conj())
-    return ChoiMatrix(c, channel.dim_in, channel.dim_out)
+    return frozen_array(c)
 
 
 def choi_deviation(a: KrausChannel, b: KrausChannel) -> float:
     """Max entrywise difference of the two channels' Choi matrices."""
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise ValueError("channels act on different dimensions")
-    return float(np.abs(choi_matrix(a).matrix - choi_matrix(b).matrix).max())
+    return float(np.abs(choi_matrix(a) - choi_matrix(b)).max())
 
 
 def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = IDENTITY_TOL) -> bool:

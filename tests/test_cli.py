@@ -178,6 +178,24 @@ class TestFeasibilityCommand:
         assert code == 2
         assert "mixture component 'aA' is itself a mixture target" in stderr
 
+    def test_non_finite_density_matrix_exits_two(self, capsys, tmp_path):
+        path = self._theory_file(tmp_path, [("aA", ((0.5, "a"), (0.5, "A")))], states=("a", "A"))
+        doc = json.loads(path.read_text())
+        doc["preparations"][0]["rho"] = [[[float("nan"), 0.0]] * 2] * 2
+        path.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "finite" in stderr
+
+    @pytest.mark.parametrize("tol", [[], ["--tol", "nan"], ["--tol", "inf"]])
+    def test_false_mixture_exits_two_at_every_tolerance(self, capsys, tmp_path, tol):
+        path = self._theory_file(tmp_path, [("aA", ((0.5, "a"), (0.5, "A")))])
+        doc = json.loads(path.read_text())
+        doc["mixtures"][0]["components"][1]["label"] = "b"
+        path.write_text(json.dumps(doc))
+        code, _, _ = _run(capsys, "feasibility", str(path), *tol)
+        assert code == 2
+
     def test_weight_without_an_exact_rational_exits_two(self, capsys, tmp_path):
         w = 0.123456789012
         path = self._theory_file(tmp_path, [("m", ((w, "a"), (1 - w, "A")))], states=("a", "A"))
@@ -231,6 +249,20 @@ class TestSimulateCommand:
         code, _, _ = _run(capsys, "simulate-bb", "--prep", "q", "--povm", "a")
         assert code == 2
 
+    def test_non_finite_weight_exits_two(self, capsys):
+        code, _, stderr = _run(capsys, "simulate-bb", "--prep", "nan:a", "--povm", "a")
+        assert code == 2
+        assert "finite" in stderr
+
+    def test_non_finite_povm_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "povm.json"
+        nan, half, zero = [float("nan"), 0.0], [0.5, 0.0], [0.0, 0.0]
+        effects = [[[nan, zero], [zero, half]], [[half, zero], [zero, half]]]
+        path.write_text(json.dumps({"effects": effects}))
+        code, _, stderr = _run(capsys, "simulate-bb", "--prep", "a", "--povm", f"@{path}")
+        assert code == 2
+        assert "finite" in stderr
+
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(
             capsys, "simulate-bb", "--prep", "a", "--povm", "a", "--samples", "0"
@@ -277,6 +309,18 @@ class TestFlagValidation:
     def test_nonpositive_tol_rejected(self, capsys):
         code, _, _ = _run(capsys, "nogo", "prep", "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, capsys, tol):
+        code, _, stderr = _run(capsys, "nogo", "prep", "--tol", tol)
+        assert code == 2
+        assert "--tol must be positive and finite" in stderr
+
+    @pytest.mark.parametrize("tol", ["0.3", "inf"])
+    def test_gleason_tol_without_a_fractional_value_exits_two(self, capsys, tol):
+        code, _, stderr = _run(capsys, "nogo", "gleason", "--tol", tol)
+        assert code == 2
+        assert "error" in stderr and "internal" not in stderr
 
     @pytest.mark.parametrize(
         "argv",

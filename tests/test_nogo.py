@@ -12,6 +12,13 @@ import pytest
 from scipy.optimize import linprog
 
 from ctxcert import nogo
+from ctxcert.bbmodel import (
+    BBPreparation,
+    PureOnticState,
+    bb_meas_noncontextuality_property,
+    bb_simulate,
+)
+from ctxcert.kraus import verify_mixture_identities
 from ctxcert.nogo import (
     ConstraintSystem,
     VerificationError,
@@ -568,8 +575,14 @@ class TestMinimalityProbe:
         assert cert.witness is not None
 
 
+def _balanced_simulation():
+    vectors = hexagon_state_vectors()
+    prep = BBPreparation(tuple((0.5, PureOnticState(vectors[x])) for x in "aA"))
+    return bb_simulate(prep, hexagon_theory().measurements["Mb"].povm, 10_000, 7)
+
+
 class TestGoldenCertificates:
-    """Certificate bytes pinned by sha256: ``json.dumps(cert.to_json(), indent=2)``."""
+    """Certificate and report bytes pinned by sha256: ``json.dumps(x.to_json(), indent=2)``."""
 
     POLYGON = {
         2: "ccfcbe660297dd9b7de41471725a778d1fcbf20e34e6ae899b090e250b5fcdb8",
@@ -604,6 +617,50 @@ class TestGoldenCertificates:
         assert digest.hexdigest() == (
             "84808726ba2ef1e8696cba0b41f5d39beb06266082a77dc4e07615881899940d"
         )
+
+    REPORTS = {
+        "od-unsharp": (
+            od_unsharp_contradiction,
+            "e2bda258d37df731b46b12c60dfa56ae3e940dfa7f377517004d66fdf8da8de8",
+        ),
+        "gleason": (
+            lambda: gleason_contradiction(*(hexagon_state_vectors()[x] for x in "ab")),
+            "cabedf633f366c4bbc84d5d0e28d0ca7caadd9dac84ffae54f3032d8080aa239",
+        ),
+        "mixture-identities": (
+            verify_mixture_identities,
+            "fda51d0ddea7a51a89f71d9850aa30ff230cfea10083292a13df639133e57caf",
+        ),
+        "hexagon-theory": (
+            hexagon_theory,
+            "503f44d34cce0dcb3b682253fceb1438799425151ef073176c1d5b1e5dc4cfd8",
+        ),
+        "bb-simulate": (
+            _balanced_simulation,
+            "07cb0a5d6f9d6da12c6c3e3b71b92362e986cc528c2a30d8b2f818a801db7bef",
+        ),
+        "bb-meas-nc": (
+            lambda: bb_meas_noncontextuality_property(20, 7),
+            "fd27165b8363fa7ebc38cc2de802a6d70079f5374df00f33e0f6ec9a214480a7",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_reports(self, name):
+        build, digest = self.REPORTS[name]
+        assert _sha256(build()) == digest
+
+
+class TestValidateOnce:
+    """Operators derived from validated ones are not validated again; each
+    validation computes one spectrum."""
+
+    @pytest.mark.parametrize("build, most", [(hexagon_theory, 20), (transf_nogo, 63)])
+    def test_spectra_per_call(self, monkeypatch, build, most):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        build()
+        assert len(calls) <= most
 
 
 class TestDeferredScipy:

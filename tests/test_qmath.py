@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from ctxcert.operational import hexagon_states, y_projection_channel
+from ctxcert.bbmodel import BBPreparation, PureOnticState
+from ctxcert.kraus import RemixMatrix
+from ctxcert.ontomodel import Distribution, IndicatorSet, TransitionMatrix
+from ctxcert.operational import (
+    Preparation,
+    hexagon_states,
+    mix_preparations,
+    y_projection_channel,
+)
 from ctxcert.qmath import (
-    ChoiMatrix,
     DensityOperator,
     Effect,
     KrausChannel,
@@ -23,6 +30,7 @@ from ctxcert.qmath import (
     is_positive_semidefinite,
     matrix_from_json,
     matrix_to_json,
+    pure_density,
     unitary_channel,
     unitary_rotation_y,
 )
@@ -180,8 +188,8 @@ class TestRotation:
 class TestChoi:
     def test_identity_channel_choi_is_rank_one_trace_two(self):
         choi = choi_matrix(unitary_channel(identity(2)))
-        eigs = np.linalg.eigvalsh(choi.matrix)
-        assert np.trace(choi.matrix).real == pytest.approx(2.0, abs=1e-12)
+        eigs = np.linalg.eigvalsh(choi)
+        assert np.trace(choi).real == pytest.approx(2.0, abs=1e-12)
         assert (eigs > 1e-9).sum() == 1
 
     def test_depolarize_to_center_choi_is_half_identity(self):
@@ -191,7 +199,7 @@ class TestChoi:
             (identity(2) / 2, PAULI_X / 2, PAULI_Y / 2, PAULI_Z / 2)
         )
         choi = choi_matrix(channel)
-        assert np.abs(choi.matrix - identity(4) / 2).max() < 1e-15
+        assert np.abs(choi - identity(4) / 2).max() < 1e-15
 
     def test_balanced_pair_and_triple_decompositions_share_a_choi(self):
         s2, s3 = math.sqrt(0.5), math.sqrt(1 / 3)
@@ -199,11 +207,19 @@ class TestChoi:
         triple = KrausChannel(
             tuple(s3 * unitary_rotation_y(k * 2 * math.pi / 3) for k in range(3))
         )
-        assert np.abs(choi_matrix(pair).matrix - choi_matrix(triple).matrix).max() < 1e-15
+        assert np.abs(choi_matrix(pair) - choi_matrix(triple)).max() < 1e-15
 
-    def test_invalid_choi_rejected(self):
-        with pytest.raises(ValueError):
-            ChoiMatrix(np.diag([1.0, 1.0, 1.0, -0.5]), 2, 2)
+    def test_random_channel_chois_are_read_only_psd_and_trace_to_identity(self):
+        # Nothing validates a Choi matrix: its positivity and partial trace
+        # must follow from the channel's own check.
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            choi = choi_matrix(_random_channel(rng))
+            assert not choi.flags.writeable
+            assert np.abs(choi - choi.conj().T).max() <= 1e-12
+            assert np.linalg.eigvalsh(choi).min() >= -1e-12
+            reduced = np.einsum("aiaj->ij", choi.reshape(2, 2, 2, 2))
+            assert np.abs(reduced - identity(2)).max() <= 1e-12
 
 
 class TestChannelEquality:
@@ -260,6 +276,32 @@ class TestValidation:
     def test_values_are_immutable(self, states):
         with pytest.raises(ValueError):
             states["a"].matrix[0, 0] = 5.0
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: DensityOperator([[1, 0], [0, x]]),
+            lambda x: Effect([[x, 0], [0, 0]]),
+            lambda x: Povm((Effect([[x, 0], [0, 0]]), Effect(identity(2)))),
+            lambda x: KrausChannel(([[1, 0], [0, x]],)),
+            lambda x: Distribution([x, 1.0]),
+            lambda x: IndicatorSet([[x], [1.0]]),
+            lambda x: TransitionMatrix([[x]]),
+            lambda x: RemixMatrix([[x]]),
+            lambda x: PureOnticState([x, 0]),
+            lambda x: BBPreparation(((x, PureOnticState([1, 0])),)),
+            lambda x: mix_preparations([(x, Preparation("a", pure_density([1, 0])))], "m"),
+        ],
+        ids=[
+            "DensityOperator", "Effect", "Povm", "KrausChannel", "Distribution",
+            "IndicatorSet", "TransitionMatrix", "RemixMatrix", "PureOnticState",
+            "BBPreparation", "mixture-weight",
+        ],
+    )
+    def test_non_finite_entries_rejected(self, build, x):
+        with pytest.raises(ValueError, match="finite"):
+            build(x)
 
 
 class TestJson:
