@@ -145,16 +145,19 @@ def brute_force_feasible(system: ConstraintSystem, max_points: int = 4) -> bool:
     return False
 
 
-def random_system(rng: np.random.Generator) -> ConstraintSystem:
-    """A small random instance: up to 4 variables, 2 pairs, 3 mixture-like
-    forms with positive rational coefficients."""
-    n_vars = int(rng.integers(1, 5))
+def random_system(
+    rng: np.random.Generator, max_vars: int = 4, max_pairs: int = 2, max_forms: int = 3
+) -> ConstraintSystem:
+    """A small random instance: up to ``max_vars`` variables, ``max_pairs``
+    pairs and ``max_forms`` mixture-like forms with positive rational
+    coefficients."""
+    n_vars = int(rng.integers(1, max_vars + 1))
     variables = tuple(f"v{i}" for i in range(n_vars))
     candidates = list(itertools.combinations(variables, 2))
-    n_pairs = int(rng.integers(0, min(2, len(candidates)) + 1)) if candidates else 0
+    n_pairs = int(rng.integers(0, min(max_pairs, len(candidates)) + 1)) if candidates else 0
     pair_idx = rng.choice(len(candidates), size=n_pairs, replace=False) if n_pairs else []
     pairs = [candidates[int(i)] for i in pair_idx]
-    n_forms = int(rng.integers(0, 4))
+    n_forms = int(rng.integers(0, max_forms + 1))
     forms = []
     for _ in range(n_forms):
         support_size = int(rng.integers(1, n_vars + 1))

@@ -97,10 +97,11 @@ def _coin_flip_theory(pvms, components) -> OperationalTheory:
     )
 
 
-def _polygon_system(k: int) -> ConstraintSystem:
+def _polygon_system(k: int, rotation: int = 0) -> ConstraintSystem:
     """The regular 2k-gon: vertex i antipodal to vertex i + k, the k pair
-    mixtures and the uniform mixtures of the even and of the odd vertices."""
-    names = [f"p{i}" for i in range(2 * k)]
+    mixtures and the uniform mixtures of the even and of the odd vertices.
+    Vertex i is named ``p<(i + rotation) mod 2k>``."""
+    names = [f"p{(i + rotation) % (2 * k)}" for i in range(2 * k)]
     forms = [{names[i]: "1/2", names[i + k]: "1/2"} for i in range(k)]
     forms += [{names[i]: f"1/{k}" for i in range(parity, 2 * k, 2)} for parity in (0, 1)]
     return ConstraintSystem(names, [(names[i], names[i + k]) for i in range(k)], forms)
@@ -616,6 +617,19 @@ class TestGoldenCertificates:
             digest.update(json.dumps(cert.to_json(), indent=2).encode())
         assert digest.hexdigest() == (
             "84808726ba2ef1e8696cba0b41f5d39beb06266082a77dc4e07615881899940d"
+        )
+
+    def test_wide_random_systems_and_rotated_polygons(self):
+        """Up to 9 variables, 4 pairs and 4 forms, where stage 1 has real
+        work, and the 2k-gons under four labelings of their vertices."""
+        rng = np.random.default_rng(2026)
+        systems = [random_system(rng, max_vars=9, max_pairs=4, max_forms=4) for _ in range(1000)]
+        systems += [_polygon_system(k, r) for k in range(2, 8) for r in range(4)]
+        digest = hashlib.sha256()
+        for system in systems:
+            digest.update(json.dumps(pointwise_feasibility(system).to_json(), indent=2).encode())
+        assert digest.hexdigest() == (
+            "7d73e99c93f67bbc5abd31bbaaa28e9df6d49498ee46601c9ae33d582c1d21e4"
         )
 
     REPORTS = {
