@@ -14,12 +14,11 @@ use inverse-CDF lookups in outcome order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operational import Preparation, hexagon_state_vectors, prep_equivalent
+from .operational import Preparation, _check_weights, hexagon_state_vectors, prep_equivalent
 from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
@@ -81,13 +80,7 @@ class BBPreparation:
         entries = tuple((float(w), s) for w, s in self.mixture)
         if not entries:
             raise ValueError("a preparation needs at least one component")
-        weights = [w for w, _ in entries]
-        if not all(math.isfinite(w) for w in weights):
-            raise ValueError("mixture weights must be finite")
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > VALIDITY_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
+        _check_weights([w for w, _ in entries])
         object.__setattr__(self, "mixture", entries)
 
     def density(self) -> DensityOperator:

@@ -216,10 +216,10 @@ def cmd_simulate_bb(args: argparse.Namespace) -> int:
     try:
         prep = _parse_prep_spec(args.prep)
         povm = _parse_povm_spec(args.povm)
+        report = bb_simulate(prep, povm, args.samples, args.seed)
     except (InputError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    report = bb_simulate(prep, povm, args.samples, args.seed)
     doc = report.to_json()
     within = report.within_sigma(4.0)
     summary = (

@@ -7,13 +7,14 @@ vanishes") constraints together with a family of mutually equal linear
 forms, while every distribution still carries total mass one?
 
 ``pointwise_feasibility`` decides this mechanically.  Stage 1 finds the
-extreme rays of the cone ``{x >= 0 : all forms equal}`` once per call, in
-exact integer arithmetic.  Each zero pattern allowed by the complementarity
-pairs cuts a face of that cone, whose extreme rays are the cone's rays that
-vanish on the pattern's zeros; where the face is ``{0}``, stage 1 records a
-human-readable elimination derivation instead.  Stage 2 asks (as a small
-linear program) whether nonnegative combinations of the collected rays can
-give every variable total mass exactly one; a yes is returned as an explicit
+pair-free extreme rays of the cone ``{x >= 0 : all forms equal}`` once per
+call, by exact integer double description.  Each zero pattern allowed by the
+complementarity pairs cuts a face of that cone, whose extreme rays are the
+cone's rays that vanish on the pattern's zeros; where the face is ``{0}``,
+stage 1 records a human-readable elimination derivation instead, read off
+one table of the form differences' signs.  Stage 2 asks (as a small linear
+program) whether nonnegative combinations of the collected rays can give
+every variable total mass exactly one; a yes is returned as an explicit
 finite model, a no as the exhaustive case table.
 """
 
@@ -23,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,10 +56,17 @@ from .qmath import (
     pure_density,
 )
 
-#: Hard ceiling on the complementarity pairs, hence on the 2**pairs zero patterns.  The
-#: regular 2k-gon certifies in 0.51, 2.2, 5.6, 20 and 64 s for k = 8..12 (one CPU of a
-#: shared machine, Python 3.11), so 11 pairs is the most that certify within a minute.
+#: Hard ceiling on the complementarity pairs, hence on the 2**pairs zero patterns.  With both
+#: bounds lifted, the 2k-gon certifies in 0.05, 0.05, 0.32, 0.52 and 2.8 s for k = 8..12 (one
+#: CPU of a shared machine, Python 3.11, with serialization); k = 12 exceeds MAX_STAGE1_WORK.
 MAX_DISJOINT_PAIRS = 11
+
+#: Hard ceiling on one stage-1 cut: current rays times positive rays times negative rays,
+#: the candidate pairs times the rays each adjacency test may scan.  The 2k-gon's largest
+#: cut is 2**(3k - 2), 2.1e9 for k = 11.  Systems with no pairs, n variables and n/2 + 1
+#: forms with coefficients 1-5 certify or exceed the bound within 2 s for n <= 32 (same
+#: machine); without it, such systems with n = 24 and 28 took 23 and 69 s.
+MAX_STAGE1_WORK = 4 * 10**9
 
 #: Tolerance of the stage-2 normalization check ("each distribution
 #: integrates to one").
@@ -291,71 +299,72 @@ def _equality_rows(system: ConstraintSystem) -> list[dict[str, Fraction]]:
     return rows
 
 
-def _pair_free_supports(
-    size: int, clash: list[set[int]], start: int = 0, chosen: tuple[int, ...] = ()
-) -> Iterator[tuple[int, ...]]:
-    """Increasing tuples of ``size`` columns from ``start`` on, in lexicographic
-    order, that hold no column together with a member of its ``clash`` set."""
-    if size == 0:
-        yield chosen
-        return
-    for j in range(start, len(clash) - size + 1):
-        if clash[j].isdisjoint(chosen):
-            yield from _pair_free_supports(size - 1, clash, j + 1, chosen + (j,))
+def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
+    """Extreme rays of ``{x >= 0 : equality rows hold}`` whose support holds no
+    disjoint pair, scaled to a first nonzero coordinate of 1, ordered by support size
+    and then by the support's increasing indices (a support fixes its ray up to scale).
 
+    Double description over the integers (Fukuda & Prodon 1996): from the orthant's
+    unit rays, cut by one equality row at a time.  Rays on the row are kept; a positive
+    ray p and a negative ray q whose support union holds no other ray's support are
+    adjacent and give ``v(p)*q - v(q)*p``, divided by its gcd.  Its support is that
+    union, so rays holding a pair have no pair-free descendant and are never made; as
+    they lie inside no pair-free union, the adjacency test stays exact.  Raises
+    ``ValueError`` when a cut would cost more than ``MAX_STAGE1_WORK``.
 
-def _pattern_extreme_rays(
-    system: ConstraintSystem, forced_zero: frozenset[str]
-) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of ``{x >= 0 : equality rows hold, x[forced] = 0}`` whose support
-    holds no disjoint pair, normalized so their first nonzero coordinate is 1.
-
-    A nonzero nonnegative solution is an extreme ray exactly when the equality rows
-    restricted to its support have nullity one, which needs at most rank + 1
-    variables.  Supports are tried by size, then lexicographically.
-
-    ``pointwise_feasibility`` calls this once per certification, with nothing forced.
-    A zero pattern's cone is the face of the full cone on which its forced variables
-    vanish, so its extreme rays are the full cone's extreme rays whose support avoids
-    them, in the same order.  No pattern's face holds a ray whose support holds both
-    members of a pair, so those supports are never tried.
+    A zero pattern's cone is the face of this cone on which its zeros vanish, so its
+    extreme rays are these rays whose support avoids them.
     """
-    free = [i for i, v in enumerate(system.variables) if v not in forced_zero]
-    matrix = []
-    for row in _equality_rows(system):
+    n = len(system.variables)
+    index = {v: i for i, v in enumerate(system.variables)}
+    partners = [0] * n
+    for u, v in system.disjoint_pairs:
+        partners[index[u]] |= 1 << index[v]
+        partners[index[v]] |= 1 << index[u]
+    # A ray is its support, the partners of its support and its integer coordinates.
+    rays = [(1 << i, partners[i], [int(i == j) for j in range(n)]) for i in range(n)]
+    for cut, row in enumerate(_equality_rows(system)):
         scale = math.lcm(*(c.denominator for c in row.values()))
-        matrix.append([int(row.get(system.variables[i], 0) * scale) for i in free])
-    rank = len(free) - len(_nullspace(matrix, len(free)))
-    column = {system.variables[i]: j for j, i in enumerate(free)}
-    pairs = [(column[u], column[v]) for u, v in system.disjoint_pairs if {u, v} <= column.keys()]
-    clash = [{b if a == j else a for a, b in pairs if j in (a, b)} for j in range(len(free))]
-    rays: list[tuple[Fraction, ...]] = []
-    for size in range(1, min(len(free), rank + 1) + 1):
-        for support in _pair_free_supports(size, clash):
-            basis = _nullspace([[row[j] for j in support] for row in matrix], size)
-            if len(basis) != 1:
-                continue
-            vec = basis[0]
-            # A zero entry means a smaller support; mixed signs leave the orthant.
-            if not (all(x > 0 for x in vec) or all(x < 0 for x in vec)):
-                continue
-            values = {free[j]: Fraction(x, vec[0]) for j, x in zip(support, vec)}
-            rays.append(tuple(values.get(i, Fraction(0)) for i in range(len(system.variables))))
-    return rays
+        coeffs = [(index[v], int(c * scale)) for v, c in row.items()]
+        values = [sum(c * vec[i] for i, c in coeffs) for _, _, vec in rays]
+        positive = [(ray, x) for ray, x in zip(rays, values) if x > 0]
+        negative = [(ray, x) for ray, x in zip(rays, values) if x < 0]
+        work = len(rays) * len(positive) * len(negative)
+        if work > MAX_STAGE1_WORK:
+            raise ValueError(
+                f"stage-1 cut {cut} would test {len(positive)} x {len(negative)} ray pairs "
+                f"against {len(rays)} rays, over the work bound of {MAX_STAGE1_WORK}"
+            )
+        masks = [ray[0] for ray in rays]
+        kept = [ray for ray, x in zip(rays, values) if x == 0]
+        for (p_mask, p_partners, p), p_value in positive:
+            for (q_mask, q_partners, q), q_value in negative:
+                union = p_mask | q_mask
+                # Two rays spanning a 2-face have at most (rows so far) + 2 variables.
+                if p_partners & q_mask or union.bit_count() > cut + 2:
+                    continue
+                if any(m | union == union and m != p_mask and m != q_mask for m in masks):
+                    continue
+                vec = [p_value * b - q_value * a for a, b in zip(p, q)]
+                g = math.gcd(*vec)
+                kept.append((union, p_partners | q_partners, [x // g for x in vec]))
+        rays = kept
+    rays.sort(key=lambda ray: (ray[0].bit_count(), [i for i in range(n) if ray[0] >> i & 1]))
+    out = []
+    for _, _, vec in rays:
+        first = next(x for x in vec if x)
+        out.append(tuple(Fraction(x, first) for x in vec))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Human-readable all-zero derivations.
 
 
-def _reduce_forms(
-    forms: list[dict[str, Fraction]], zero: set[str]
-) -> list[dict[str, Fraction]]:
-    return [{v: c for v, c in f.items() if v not in zero} for f in forms]
-
-
 def _derive_all_zero(
-    system: ConstraintSystem, forced_zero: frozenset[str]
+    system: ConstraintSystem,
+    forced_zero: frozenset[str],
+    table: tuple[dict[tuple[int, int], tuple[int, int]], list[int]],
 ) -> tuple[bool, tuple[DerivationStep, ...]]:
     """Iteratively eliminate variables that the pattern forces to zero.
 
@@ -364,80 +373,76 @@ def _derive_all_zero(
     signed combination of variables, those variables vanish; the special
     case of a single shared variable with clashing coefficients is recorded
     as such, and a form that has already reduced to zero annihilates any
-    other uniformly signed form.  Returns whether every free variable was
-    eliminated, plus the recorded steps.
+    other uniformly signed form.  Each sweep reads the signs of the form
+    differences and the form supports as bitmasks from ``table``, built once
+    per certification by ``pointwise_feasibility``, and the first form pair
+    with a move wins.  Returns whether every free variable was eliminated,
+    plus the recorded steps.
     """
-    forms = system.form_dicts()
-    zero = set(forced_zero)
+    signs, supports = table
+    names = system.variables
+    everything = (1 << len(names)) - 1
+    zero = sum(1 << b for b, v in enumerate(names) if v in forced_zero)
     steps: list[DerivationStep] = []
-    progress = True
-    while progress:
-        progress = False
-        reduced = _reduce_forms(forms, zero)
-        for i in range(len(reduced)):
-            for j in range(i + 1, len(reduced)):
-                diff = dict(reduced[i])
-                for var, coeff in reduced[j].items():
-                    diff[var] = diff.get(var, Fraction(0)) - coeff
-                diff = {v: c for v, c in diff.items() if c != 0}
-                if not diff:
-                    continue
-                positive = all(c > 0 for c in diff.values())
-                negative = all(c < 0 for c in diff.values())
-                if not (positive or negative):
-                    continue
-                vars_ = tuple(sorted(diff))
-                if len(vars_) == 1 and vars_[0] in reduced[i] and vars_[0] in reduced[j]:
-                    v = vars_[0]
-                    left, right = reduced[i][v], reduced[j][v]
-                    steps.append(
-                        DerivationStep(
-                            kind="coefficient-clash",
-                            variables=(v,),
-                            left_form=i,
-                            right_form=j,
-                            left_coeff=str(left),
-                            right_coeff=str(right),
-                            detail=(
-                                f"equating forms {i} and {j} leaves ({left})*{v} = ({right})*{v}, "
-                                f"so {v} = 0"
-                            ),
-                        )
+    while True:
+        live = everything & ~zero
+        for (i, j), (positive, negative) in signs.items():
+            positive &= live
+            negative &= live
+            if bool(positive) == bool(negative):
+                continue  # equal reduced forms, or a difference of mixed signs
+            diff = positive | negative
+            vars_ = tuple(sorted(names[b] for b in range(len(names)) if diff >> b & 1))
+            left, right = supports[i] & live, supports[j] & live
+            if len(vars_) == 1 and diff & left and diff & right:
+                v = vars_[0]
+                left_coeff = dict(system.equality_groups[i])[v]
+                right_coeff = dict(system.equality_groups[j])[v]
+                steps.append(
+                    DerivationStep(
+                        kind="coefficient-clash",
+                        variables=(v,),
+                        left_form=i,
+                        right_form=j,
+                        left_coeff=str(left_coeff),
+                        right_coeff=str(right_coeff),
+                        detail=(
+                            f"equating forms {i} and {j} leaves ({left_coeff})*{v} = "
+                            f"({right_coeff})*{v}, so {v} = 0"
+                        ),
                     )
-                elif not reduced[i] or not reduced[j]:
-                    empty, other = (i, j) if not reduced[i] else (j, i)
-                    steps.append(
-                        DerivationStep(
-                            kind="vanishing-form",
-                            variables=vars_,
-                            left_form=empty,
-                            right_form=other,
-                            detail=(
-                                f"form {empty} reduces to 0, so form {other} = 0 and "
-                                f"nonnegativity forces {', '.join(vars_)} = 0"
-                            ),
-                        )
+                )
+            elif not left or not right:
+                empty, other = (i, j) if not left else (j, i)
+                steps.append(
+                    DerivationStep(
+                        kind="vanishing-form",
+                        variables=vars_,
+                        left_form=empty,
+                        right_form=other,
+                        detail=(
+                            f"form {empty} reduces to 0, so form {other} = 0 and "
+                            f"nonnegativity forces {', '.join(vars_)} = 0"
+                        ),
                     )
-                else:
-                    steps.append(
-                        DerivationStep(
-                            kind="sign-elimination",
-                            variables=vars_,
-                            left_form=i,
-                            right_form=j,
-                            detail=(
-                                f"forms {i} and {j} differ by a uniformly signed combination "
-                                f"of {', '.join(vars_)}, so these vanish"
-                            ),
-                        )
+                )
+            else:
+                steps.append(
+                    DerivationStep(
+                        kind="sign-elimination",
+                        variables=vars_,
+                        left_form=i,
+                        right_form=j,
+                        detail=(
+                            f"forms {i} and {j} differ by a uniformly signed combination "
+                            f"of {', '.join(vars_)}, so these vanish"
+                        ),
                     )
-                zero.update(vars_)
-                progress = True
-                break
-            if progress:
-                break
-    complete = all(v in zero for v in system.variables)
-    return complete, tuple(steps)
+                )
+            zero |= diff
+            break
+        else:
+            return zero == everything, tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +460,9 @@ def linprog(*args, **kwargs):
 def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
     """Decide whether normalized distributions can satisfy the system.
 
-    Raises ``ValueError`` for a system without variables or with more than
-    ``MAX_DISJOINT_PAIRS`` complementarity pairs.
+    Raises ``ValueError`` for a system without variables, with more than
+    ``MAX_DISJOINT_PAIRS`` complementarity pairs, or whose stage 1 would
+    exceed ``MAX_STAGE1_WORK``.
     """
     if not system.variables:
         raise ValueError("degenerate system: no variables")
@@ -466,26 +472,34 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
             f"{n_pairs} disjointness pairs exceed the enumeration bound of {MAX_DISJOINT_PAIRS}"
         )
 
-    all_rays = _pattern_extreme_rays(system, frozenset())
-    supports = [{v for v, x in zip(system.variables, ray) if x} for ray in all_rays]
+    all_rays = _pattern_extreme_rays(system)
+    index = {v: b for b, v in enumerate(system.variables)}
+    # The table _derive_all_zero reads: for each form pair (i, j), the variables where
+    # form i minus form j is positive and where it is negative; each form's support.
+    scale = math.lcm(*(c.denominator for form in system.equality_groups for _, c in form))
+    forms = [{index[v]: int(c * scale) for v, c in form} for form in system.equality_groups]
+    signs = {}
+    for i, j in itertools.combinations(range(len(forms)), 2):
+        diff = [forms[i].get(b, 0) - forms[j].get(b, 0) for b in range(len(index))]
+        signs[i, j] = tuple(sum(1 << b for b, d in enumerate(diff) if s * d > 0) for s in (1, -1))
+    table = (signs, [sum(1 << b for b in form) for form in forms])
+    supports = [sum(1 << b for b, x in enumerate(ray) if x) for ray in all_rays]
     cases: list[CaseRow] = []
-    rays: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    used: dict[int, None] = {}  # indices into all_rays, in order of first use
     for bits in itertools.product((0, 1), repeat=n_pairs):
         forced = frozenset(system.disjoint_pairs[i][bits[i]] for i in range(n_pairs))
-        pattern_rays = [r for r, sup in zip(all_rays, supports) if sup.isdisjoint(forced)]
+        zeros = sum(1 << index[v] for v in forced)
+        pattern_rays = [i for i, sup in enumerate(supports) if not sup & zeros]
         if pattern_rays:
-            first = tuple(str(x) for x in pattern_rays[0])
+            first = tuple(str(x) for x in all_rays[pattern_rays[0]])
             cases.append(CaseRow(bits, tuple(sorted(forced)), "ray", ray=first))
-            for ray in pattern_rays:
-                if ray not in seen:
-                    seen.add(ray)
-                    rays.append(ray)
+            used.update(dict.fromkeys(pattern_rays))
         else:
-            complete, steps = _derive_all_zero(system, forced)
+            complete, steps = _derive_all_zero(system, forced, table)
             row = CaseRow(bits, tuple(sorted(forced)), "all-zero", steps=steps if complete else ())
             cases.append(row)
 
+    rays = [all_rays[i] for i in used]
     if not rays:
         return Certificate("Infeasible", system, None, tuple(cases))
 

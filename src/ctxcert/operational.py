@@ -74,7 +74,7 @@ class MixtureDecl:
 def _check_weights(weights: Sequence[float]) -> None:
     if not all(math.isfinite(w) for w in weights):
         raise ValueError("mixture weights must be finite")
-    if any(w < -VALIDITY_TOL for w in weights):
+    if any(w < 0 for w in weights):
         raise ValueError("mixture weights must be nonnegative")
     if abs(sum(weights) - 1.0) > VALIDITY_TOL:
         raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")

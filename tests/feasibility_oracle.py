@@ -66,6 +66,69 @@ def _rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def _kernel(rows: list[list[Fraction]], n_cols: int) -> list[list[Fraction]]:
+    """Basis of ``{x : rows x = 0}``, one vector per free column of the
+    reduced row echelon form."""
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                factor = mat[i][c]
+                mat[i] = [x - factor * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            vec[c] = -mat[i][free]
+        basis.append(vec)
+    return basis
+
+
+def pair_free_extreme_rays(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
+    """Reference for the certifier's stage 1: the extreme rays of
+    ``{x >= 0 : all forms equal}`` whose support holds no disjoint pair, each
+    scaled so its first nonzero entry is 1, ordered by support size and then
+    lexicographically by support.
+
+    A nonzero ``x >= 0`` in the cone is an extreme ray exactly when the
+    equalities restricted to its support have a one-dimensional kernel, which
+    needs at most rank + 1 variables; every pair-free support up to that size
+    is tried.
+    """
+    names = system.variables
+    forms = system.form_dicts()
+    zero = Fraction(0)
+    rows = [[forms[0].get(v, zero) - other.get(v, zero) for v in names] for other in forms[1:]]
+    rank = len(names) - len(_kernel(rows, len(names)))
+    pairs = [set(pair) for pair in system.disjoint_pairs]
+    rays = []
+    for size in range(1, min(len(names), rank + 1) + 1):
+        for support in itertools.combinations(range(len(names)), size):
+            if any(pair <= {names[j] for j in support} for pair in pairs):
+                continue
+            basis = _kernel([[row[j] for j in support] for row in rows], size)
+            if len(basis) != 1:
+                continue
+            vec = basis[0]
+            if not (all(x > 0 for x in vec) or all(x < 0 for x in vec)):
+                continue
+            ray = [zero] * len(names)
+            for j, x in zip(support, vec):
+                ray[j] = x / vec[0]
+            rays.append(tuple(ray))
+    return rays
+
+
 def _exact_lp_feasible(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
     """Does ``A x = b`` admit a nonnegative solution?  Decided by enumerating
     basic solutions: a feasible system has a basic feasible solution whose

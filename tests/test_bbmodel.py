@@ -13,7 +13,13 @@ from ctxcert.bbmodel import (
     bb_simulate,
 )
 from ctxcert.ontomodel import IndicatorSet, is_outcome_deterministic
-from ctxcert.operational import hexagon_state_vectors, hexagon_theory
+from ctxcert.operational import (
+    Preparation,
+    hexagon_state_vectors,
+    hexagon_states,
+    hexagon_theory,
+    mix_preparations,
+)
 from ctxcert.qmath import Effect, Povm, born_probability, identity, pure_density
 
 
@@ -43,6 +49,16 @@ class TestPureOnticState:
     def test_unnormalized_vectors_rejected(self):
         with pytest.raises(ValueError):
             PureOnticState(np.array([1.0, 1.0]))
+
+
+class TestMixtureWeights:
+    def test_one_rule_refuses_a_slightly_negative_weight(self, vectors):
+        weights = (-1e-12, 1 + 1e-12)
+        prep = Preparation("a", hexagon_states()["a"])
+        with pytest.raises(ValueError, match="nonnegative"):
+            mix_preparations([(w, prep) for w in weights], "m")
+        with pytest.raises(ValueError, match="nonnegative"):
+            BBPreparation(tuple((w, PureOnticState(vectors["a"])) for w in weights))
 
 
 class TestIndicator:

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from ctxcert import nogo
 from ctxcert.cli import main, render_bloch_disk_svg
 from ctxcert.nogo import MAX_DISJOINT_PAIRS
 from ctxcert.operational import (
@@ -148,6 +149,15 @@ class TestFeasibilityCommand:
         assert code == 2
         assert "exceed the enumeration bound" in stderr
 
+    def test_stage_one_over_its_work_bound_exits_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(nogo, "MAX_STAGE1_WORK", 0)
+        path = tmp_path / "system.json"
+        system = {"variables": ["a", "b"], "equality_groups": [{"a": 1}, {"b": 1}]}
+        path.write_text(json.dumps(system))
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "over the work bound" in stderr
+
     @staticmethod
     def _theory_file(tmp_path, mixtures, states=("a", "A", "b")):
         """A theory of the given hexagon states and the given
@@ -262,6 +272,16 @@ class TestSimulateCommand:
         code, _, stderr = _run(capsys, "simulate-bb", "--prep", "a", "--povm", f"@{path}")
         assert code == 2
         assert "finite" in stderr
+
+    def test_non_qubit_povm_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "qutrit.json"
+        effect = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+        path.write_text(json.dumps({"effects": [effect] * 3}))
+        code, _, stderr = _run(
+            capsys, "simulate-bb", "--prep", "a", "--povm", f"@{path}", "--samples", "10"
+        )
+        assert code == 2
+        assert "qubits only" in stderr
 
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(

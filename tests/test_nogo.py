@@ -1,11 +1,14 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from ctxcert.operational import (
 )
 from ctxcert.qmath import Effect, Povm, identity
 
-from feasibility_oracle import _rank, brute_force_feasible, random_system
+from feasibility_oracle import _rank, brute_force_feasible, pair_free_extreme_rays, random_system
 
 
 #: The preparation system of the hexagon: three antipodal pairs and the
@@ -217,6 +220,22 @@ class TestPointwiseFeasibility:
             pointwise_feasibility(_polygon_system(nogo.MAX_DISJOINT_PAIRS + 1))
         assert calls == []
 
+    @pytest.mark.parametrize("n", [18, 24])
+    def test_many_unpaired_variables_certify_or_fail_fast(self, n):
+        rng = np.random.default_rng(n)
+        names = [f"x{i}" for i in range(n)]
+        forms = [dict(zip(names, rng.integers(1, 6, size=n).tolist())) for _ in range(n // 2 + 1)]
+        start = time.perf_counter()
+        try:
+            pointwise_feasibility(ConstraintSystem(names, (), forms))
+        except ValueError as exc:
+            assert "over the work bound" in str(exc)
+        assert time.perf_counter() - start < 10
+
+    def test_the_work_bound_admits_the_largest_polygon(self):
+        k = nogo.MAX_DISJOINT_PAIRS
+        assert not pointwise_feasibility(_polygon_system(k)).feasible
+
     def test_case_table_covers_every_pattern(self):
         cert = pointwise_feasibility(_prep_system())
         assert len(cert.cases) == 2 ** len(cert.system.disjoint_pairs)
@@ -270,23 +289,76 @@ class TestStageOne:
         for system in (_prep_system(), _polygon_system(4)):
             calls.clear()
             pointwise_feasibility(system)
-            assert calls == [(system, frozenset())]
+            assert calls == [(system,)]
 
     def test_supports_holding_a_pair_are_never_tried(self, monkeypatch):
-        # Three pairs leave 3**3 - 1 nonempty supports; one more solve finds the rank.
-        calls = _counting(monkeypatch, "_nullspace")
-        pointwise_feasibility(_prep_system())
-        assert len(calls) == 3**3 - 1 + 1
+        # Each ray the double description makes is divided by its gcd once: record them.
+        made = []
+
+        def gcd(*vec):
+            made.append(vec)
+            return math.gcd(*vec)
+
+        monkeypatch.setattr(nogo, "math", SimpleNamespace(gcd=gcd, lcm=math.lcm))
+        system = _prep_system()
+        unpaired = ConstraintSystem(system.variables, (), system.form_dicts())
+        held = []
+        for case in (system, unpaired):
+            made.clear()
+            nogo._pattern_extreme_rays(case)
+            assert made
+            held.append([
+                vec for vec in made for u, v in system.disjoint_pairs
+                if vec[system.variables.index(u)] and vec[system.variables.index(v)]
+            ])
+        # Without the pairs some combination holds one; with them none is made.
+        assert held[1] and not held[0]
 
     def test_each_pattern_gets_the_full_cone_rays_avoiding_its_zeros(self):
         system = _polygon_system(4)
-        rays = nogo._pattern_extreme_rays(system, frozenset())
+        rays = nogo._pattern_extreme_rays(system)
         for row in pointwise_feasibility(system).cases:
-            face = nogo._pattern_extreme_rays(system, frozenset(row.zeroed))
-            assert face and face == [
+            face = [
                 r for r in rays if all(r[system.variables.index(v)] == 0 for v in row.zeroed)
             ]
+            # The face's own rays, enumerated on the system without the zeroed variables.
+            kept = [v for v in system.variables if v not in row.zeroed]
+            restricted = ConstraintSystem(
+                kept,
+                [p for p in system.disjoint_pairs if not set(p) & set(row.zeroed)],
+                [{v: c for v, c in form.items() if v in kept} for form in system.form_dicts()],
+            )
+            reference = [
+                tuple(dict(zip(kept, ray)).get(v, Fraction(0)) for v in system.variables)
+                for ray in pair_free_extreme_rays(restricted)
+            ]
+            assert face and sorted(face) == sorted(reference)
             assert row.ray == tuple(str(x) for x in face[0])
+
+    def test_rays_match_the_reference_enumeration(self):
+        rng = np.random.default_rng(20261019)
+        systems = [random_system(rng, max_vars=9, max_pairs=4, max_forms=4) for _ in range(500)]
+        systems += [_polygon_system(k) for k in range(2, 8)]
+        # Degenerate cones, where a non-adjacent ray pair spans few enough variables to
+        # pass for a 2-face.
+        systems += [
+            ConstraintSystem(
+                [f"v{i}" for i in range(7)],
+                (),
+                [
+                    {"v0": 1, "v1": 1, "v5": 1, "v6": 2},
+                    {"v2": 2, "v3": 2, "v4": 1, "v5": 2},
+                    {"v3": 2, "v4": 1, "v5": 2},
+                    {"v1": 1, "v2": 2, "v3": 1, "v5": 2, "v6": 2},
+                ],
+            ),
+        ]
+        several = 0
+        for system in systems:
+            rays = nogo._pattern_extreme_rays(system)
+            assert rays == pair_free_extreme_rays(system), system.to_json()
+            several += len(rays) > 1
+        assert several >= 100
 
 
 @pytest.fixture(scope="module")
