@@ -217,7 +217,7 @@ def cmd_simulate_bb(args: argparse.Namespace) -> int:
         prep = _parse_prep_spec(args.prep)
         povm = _parse_povm_spec(args.povm)
         report = bb_simulate(prep, povm, args.samples, args.seed)
-    except (InputError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     doc = report.to_json()

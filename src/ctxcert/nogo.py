@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -32,6 +32,7 @@ from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outc
 from .operational import (
     MixtureDecl,
     OperationalTheory,
+    Preparation,
     channel_decompositions,
     coin_flip_povm,
     hexagon_state_vectors,
@@ -85,16 +86,17 @@ def _as_fraction(value) -> Fraction:
     rational reproduces them exactly."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str, float)):
+        raise TypeError(f"cannot interpret {value!r} as an exact coefficient")
+    try:
+        exact = Fraction(value)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
     if isinstance(value, float):
-        guess = Fraction(value).limit_denominator(10**9)
-        if float(guess) == value:
-            return guess
-        raise ValueError(f"float {value!r} has no small exact rational representation")
-    raise TypeError(f"cannot interpret {value!r} as an exact coefficient")
+        exact = exact.limit_denominator(10**9)
+        if float(exact) != value:
+            raise ValueError(f"float {value!r} has no small exact rational representation")
+    return exact
 
 
 @dataclass(frozen=True)
@@ -112,14 +114,18 @@ class ConstraintSystem:
         disjoint_pairs: Iterable[Sequence[str]] = (),
         equality_groups: Iterable[Mapping[str, object]] = (),
     ) -> None:
-        names = tuple(str(v) for v in variables)
+        names = tuple(variables)
+        if isinstance(variables, (str, Mapping)) or not all(isinstance(v, str) for v in names):
+            raise TypeError(f"variables must be a list of names, got {variables!r}")
         if len(set(names)) != len(names):
             raise ValueError("variable names must be distinct")
         declared = set(names)
         pairs = []
         seen_pairs = set()
         for pair in disjoint_pairs:
-            u, v = (str(x) for x in pair)
+            if isinstance(pair, str):
+                raise TypeError(f"a disjointness pair must be a list of two names, got {pair!r}")
+            u, v = pair
             if u == v:
                 raise ValueError(f"a disjointness pair needs two distinct variables, got {u!r}")
             if u not in declared or v not in declared:
@@ -131,13 +137,15 @@ class ConstraintSystem:
             pairs.append((u, v))
         forms = []
         for group in equality_groups:
+            if not isinstance(group, Mapping):
+                raise TypeError(f"an equality form must map names to coefficients, got {group!r}")
             entries = []
             for var, coeff in group.items():
                 if var not in declared:
                     raise ValueError(f"form references undeclared variable {var!r}")
                 frac = _as_fraction(coeff)
                 if frac != 0:
-                    entries.append((str(var), frac))
+                    entries.append((var, frac))
             entries.sort(key=lambda item: names.index(item[0]))
             forms.append(tuple(entries))
         object.__setattr__(self, "variables", names)
@@ -520,11 +528,8 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
 
     weights = np.maximum(result.x, 0.0)
     used = [(w, ray) for w, ray in zip(weights, rays) if w > 1e-12]
-    residual = float(
-        np.abs(
-            sum(w * np.array([float(x) for x in ray]) for w, ray in used) - target
-        ).max()
-    )
+    total = sum(w * np.array([float(x) for x in ray]) for w, ray in used)
+    residual = float(np.abs(total - target).max())
     if residual > NORMALIZATION_TOL:
         raise RuntimeError(f"normalization residual {residual:.3e} exceeds {NORMALIZATION_TOL}")
     witness = _witness_model(system, used)
@@ -545,7 +550,7 @@ def _witness_model(
     return OntModel(space=space, prep_map=prep_map)
 
 
-def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> float:
+def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> None:
     """Re-check the witness against the system it claims to satisfy."""
     values = {v: witness.prep_map[v].weights for v in system.variables}
     worst = 0.0
@@ -563,7 +568,6 @@ def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> 
         worst = max(worst, abs(float(values[var].sum()) - 1.0))
     if worst > tol:
         raise RuntimeError(f"witness deviates from its system by {worst:.3e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +578,9 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
     """Derive the pointwise system a noncontextual model of the theory must
     solve: one variable per non-target preparation, disjointness from
     orthogonality, one equality form per declared preparation mixture.
+
+    Serves ``prep_nogo`` and ``feasibility`` with a theory as given, and
+    ``transf_nogo`` with the theory of its channels' images of one state.
 
     Raises ``ValueError`` when the mixture targets are not all equivalent, a
     mixture component is itself a mixture target, or a mixture's weights have
@@ -806,12 +813,12 @@ def transf_nogo() -> Certificate:
     for the six rotations and the projection channel.
 
     Step 1 verifies the five convex decompositions K1-K5 of the projection
-    channel at the Choi level.  Step 2 relabels the preparation system by
-    the rotation that sends the first preparation to each state, so the
-    channel decompositions become those of the completely mixed state and
-    half-turn-apart rotations the disjoint pairs.  Step 3 verifies on a grid
-    of z-x pure states that each pair has orthogonal outputs.  Step 4
-    certifies the relabeled system, which must be infeasible.
+    channel at the Choi level.  Step 2 applies every transformation to the
+    theory's first preparation: each channel decomposition becomes one of
+    that state's image, and ``system_from_theory`` derives the system of the
+    images, whose orthogonal pairs are the disjoint pairs.  Step 3 verifies
+    on a grid of z-x pure states that each pair has orthogonal outputs on
+    every input.  Step 4 certifies the system, which must be infeasible.
     """
     theory = hexagon_theory()
     channels = {label: t.channel for label, t in theory.transformations.items()}
@@ -820,26 +827,18 @@ def transf_nogo() -> Certificate:
         for mixture, target in channel_decompositions(theory)
     ]
 
-    prep_system = system_from_theory(theory)
-    first = theory.preparations[prep_system.variables[0]].rho
-    images = {label: apply_channel(channel, first).matrix for label, channel in channels.items()}
-    rotation_to = {
-        v: _label_of(theory.preparations[v].rho.matrix, images, f"no rotation reaches {v!r}")
-        for v in prep_system.variables
-    }
-    system = ConstraintSystem(
-        [rotation_to[v] for v in prep_system.variables],
-        [(rotation_to[u], rotation_to[v]) for u, v in prep_system.disjoint_pairs],
-        [{rotation_to[v]: c for v, c in form} for form in prep_system.equality_groups],
+    first = next(iter(theory.preparations.values())).rho
+    images = OperationalTheory(
+        [Preparation(label, apply_channel(channel, first)) for label, channel in channels.items()],
+        mixtures=[replace(d, kind="prep") for d in theory.mixtures if d.kind == "transf"],
     )
+    system = system_from_theory(images)
 
-    # tr(AB) and tr(BA) round differently: take each pair smaller angle first.
-    opposite_pairs = [sorted(pair, key=list(channels).index) for pair in system.disjoint_pairs]
     worst = 0.0
     for k in range(DISJOINT_IMAGE_GRID):
         phi = 2 * math.pi * k / DISJOINT_IMAGE_GRID
         rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)])).matrix
-        for u, v in opposite_pairs:
+        for u, v in system.disjoint_pairs:
             out1 = channel_action(channels[u], rho)
             out2 = channel_action(channels[v], rho)
             worst = max(worst, abs(complex(np.trace(out1 @ out2))))

@@ -158,6 +158,24 @@ class TestFeasibilityCommand:
         assert code == 2
         assert "over the work bound" in stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"variables": "abc"}',
+            '{"variables": ["a", "b"], "disjoint_pairs": ["ab"]}',
+            '{"variables": ["a"], "equality_groups": [["a", 1]]}',
+            '{"variables": ["a"], "equality_groups": [{"a": 1e400}]}',
+            '{"variables": ["a"], "equality_groups": [{"a": "1/0"}]}',
+            '{"variables": ["a"], "equality_groups": [{"a": true}]}',
+        ],
+    )
+    def test_malformed_system_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "system.json"
+        path.write_text(text)
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert stderr.startswith("error: ")
+
     @staticmethod
     def _theory_file(tmp_path, mixtures, states=("a", "A", "b")):
         """A theory of the given hexagon states and the given
@@ -282,6 +300,23 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert "qubits only" in stderr
+
+    @pytest.mark.parametrize(
+        "flag, doc",
+        [
+            ("--prep", [{"weight": 1.0, "state": [["1", 0], [0, 0]]}]),
+            ("--prep", {"weight": 1.0, "state": [[1, 0], [0, 0]]}),
+            ("--povm", {"effects": [[[1, 0], [0, 0]]]}),
+        ],
+    )
+    def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        # The later occurrence of the flag overrides the earlier one.
+        argv = ["--prep", "a", "--povm", "a", "--samples", "10", flag, f"@{path}"]
+        code, _, stderr = _run(capsys, "simulate-bb", *argv)
+        assert code == 2
+        assert stderr.startswith("error: ")
 
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -64,16 +65,17 @@ PREP_SYSTEM_JSON = {
     ],
 }
 
-#: The same system relabeled by the rotation that sends a to each state.
+#: The system of the rotations' images of a, in the theory's order: each
+#: decomposition of the projection channel decomposes the image of a.
 TRANSF_SYSTEM_JSON = {
-    "variables": ["T0", "T180", "T120", "T300", "T240", "T60"],
-    "disjoint_pairs": [["T0", "T180"], ["T120", "T300"], ["T240", "T60"]],
+    "variables": ["T0", "T60", "T120", "T180", "T240", "T300"],
+    "disjoint_pairs": [["T0", "T180"], ["T60", "T240"], ["T120", "T300"]],
     "equality_groups": [
         {"T0": "1/2", "T180": "1/2"},
+        {"T60": "1/2", "T240": "1/2"},
         {"T120": "1/2", "T300": "1/2"},
-        {"T240": "1/2", "T60": "1/2"},
         {"T0": "1/3", "T120": "1/3", "T240": "1/3"},
-        {"T180": "1/3", "T300": "1/3", "T60": "1/3"},
+        {"T60": "1/3", "T180": "1/3", "T300": "1/3"},
     ],
 }
 
@@ -519,6 +521,26 @@ class TestTransfNogo:
     def test_byte_identical_across_runs(self, transf_cert):
         assert json.dumps(transf_cert.to_json()) == json.dumps(transf_nogo().to_json())
 
+    def test_system_is_the_hexagon_in_rotation_order(self, transf_cert):
+        polygon = json.dumps(_polygon_system(3).to_json())
+        rotations = re.sub(r'"p(\d)"', lambda m: f'"T{60 * int(m.group(1))}"', polygon)
+        assert json.dumps(transf_cert.system.to_json()) == rotations
+
+    def test_pair_decompositions_alone_certify_nothing(self, monkeypatch):
+        """Without the trine decompositions K4 and K5 a noncontextual model
+        exists, so the driver must refuse to certify."""
+        theory = hexagon_theory()
+        kept = [d for d in theory.mixtures if d.kind != "transf" or len(d.components) == 2]
+        pairs_only = OperationalTheory(
+            theory.preparations.values(),
+            theory.transformations.values(),
+            theory.measurements.values(),
+            kept,
+        )
+        monkeypatch.setattr(nogo, "hexagon_theory", lambda: pairs_only)
+        with pytest.raises(VerificationError, match="unexpectedly feasible"):
+            transf_nogo()
+
 
 class TestGleason:
     def test_neighboring_states_force_one_quarter(self):
@@ -675,7 +697,7 @@ class TestGoldenCertificates:
             "fb51e3944f23f56c8254453b36092460af4c38b9232b6e91ce277ae1ee6c64a1"
         )
         assert _sha256(transf_cert) == (
-            "ec5b6cc14a04f4cbe41f00e56b8ce60ee329c089a9829cb8db466b0c8bb73f41"
+            "f7d14172b23ad8745cd8dc7dfb179ae87c27b1ee1e3074340d2d8d0a859a6620"
         )
         assert _sha256(meas_cert) == (
             "c565492fd95c81109ec3f95c69f7e1b616da1f044b473b02cb4532ea21ec03df"
