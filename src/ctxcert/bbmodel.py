@@ -34,6 +34,12 @@ from .qmath import (
 #: Ray comparison tolerance after canonical phase fixing.
 RAY_TOL = 1e-12
 
+#: Hard ceiling on the samples of one draw, checked before anything is allocated.  Peak RSS of
+#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 85, 132 and 228 MB at 10, 1e6,
+#: 2e6 and 4e6 samples (Python 3.11, numpy, Linux), about 48 B per sample with a two-outcome
+#: POVM, so the largest allowed run needs about 1 GB; each further outcome adds about 9 B.
+MAX_SAMPLES = 2 * 10**7
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -112,9 +118,15 @@ def bb_sample(prep: BBPreparation, n: int, seed: int) -> np.ndarray:
     Deterministic given ``seed``; component choice is inverse-CDF over the
     mixture weights in declaration order.
     """
+    _check_sample_count(n)
+    return _component_indices(prep, n, _rng(seed))
+
+
+def _check_sample_count(n: int) -> None:
     if n < 1:
         raise ValueError("need at least one sample")
-    return _component_indices(prep, n, _rng(seed))
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
 
 
 def _component_indices(prep: BBPreparation, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,8 +179,7 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
-    if n < 1:
-        raise ValueError("need at least one sample")
+    _check_sample_count(n)
     rng = _rng(seed)
     comps = _component_indices(prep, n, rng)
     u = rng.random(n)

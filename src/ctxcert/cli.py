@@ -21,7 +21,15 @@ import numpy as np
 from . import nogo
 from .bbmodel import BBPreparation, PureOnticState, bb_simulate
 from .operational import OperationalTheory, hexagon_state_vectors, hexagon_theory
-from .qmath import Effect, Povm, bloch_from_density, matrix_from_json
+from .qmath import (
+    VALIDITY_TOL,
+    Effect,
+    Povm,
+    bloch_from_density,
+    complex_from_json,
+    matrix_from_json,
+    real_from_json,
+)
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -177,7 +185,10 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
         return BBPreparation(
             tuple(
-                (entry["weight"], PureOnticState(np.array([complex(re, im) for re, im in entry["state"]])))
+                (
+                    real_from_json(entry["weight"]),
+                    PureOnticState(np.array([complex_from_json(z) for z in entry["state"]])),
+                )
                 for entry in doc
             )
         )
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, tol_help: str | None = None) -> None:
         if tol_help:
-            p.add_argument("--tol", type=float, default=1e-9, help=tol_help)
+            p.add_argument("--tol", type=float, default=VALIDITY_TOL, help=tol_help)
         p.add_argument("--out", default=None, help="write machine-readable output here")
         p.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -362,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < getattr(args, "tol", 1e-9) < math.inf:
+    if not 0 < getattr(args, "tol", VALIDITY_TOL) < math.inf:
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "samples", 1) < 1:

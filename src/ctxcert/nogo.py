@@ -30,7 +30,6 @@ import numpy as np
 
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
-    MixtureDecl,
     OperationalTheory,
     Preparation,
     channel_decompositions,
@@ -48,6 +47,7 @@ from .qmath import (
     Effect,
     Povm,
     apply_channel,
+    as_fraction,
     born_probability,
     channel_action,
     choi_deviation,
@@ -79,24 +79,6 @@ DISJOINT_IMAGE_GRID = 36
 
 class VerificationError(RuntimeError):
     """A driver failed to certify the verdict its premises guarantee."""
-
-
-def _as_fraction(value) -> Fraction:
-    """Exact coefficient coercion; floats are accepted only when a small
-    rational reproduces them exactly."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, str, float)):
-        raise TypeError(f"cannot interpret {value!r} as an exact coefficient")
-    try:
-        exact = Fraction(value)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
-    if isinstance(value, float):
-        exact = exact.limit_denominator(10**9)
-        if float(exact) != value:
-            raise ValueError(f"float {value!r} has no small exact rational representation")
-    return exact
 
 
 @dataclass(frozen=True)
@@ -143,7 +125,7 @@ class ConstraintSystem:
             for var, coeff in group.items():
                 if var not in declared:
                     raise ValueError(f"form references undeclared variable {var!r}")
-                frac = _as_fraction(coeff)
+                frac = as_fraction(coeff)
                 if frac != 0:
                     entries.append((var, frac))
             entries.sort(key=lambda item: names.index(item[0]))
@@ -582,9 +564,9 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
     Serves ``prep_nogo`` and ``feasibility`` with a theory as given, and
     ``transf_nogo`` with the theory of its channels' images of one state.
 
-    Raises ``ValueError`` when the mixture targets are not all equivalent, a
-    mixture component is itself a mixture target, or a mixture's weights have
-    no small exact rational representation that sums to 1.
+    Raises ``ValueError`` when the mixture targets are not all equivalent or
+    a mixture component is itself a mixture target.  The weights are the
+    exact ones ``MixtureDecl`` holds.
     """
     decls = [d for d in theory.mixtures if d.kind == "prep"]
     targets = {d.target for d in decls}
@@ -605,20 +587,7 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
         for v in variables[i + 1 :]
         if float(np.abs(rho[u] @ rho[v]).max()) <= tol
     ]
-    return ConstraintSystem(variables, pairs, [_exact_weights(d) for d in decls])
-
-
-def _exact_weights(decl: MixtureDecl) -> dict[str, Fraction]:
-    """A mixture's exact total weight on each component; they must sum to 1."""
-    weights: dict[str, Fraction] = {}
-    for w, label in decl.components:
-        weights[label] = weights.get(label, Fraction(0)) + _as_fraction(w)
-    if sum(weights.values()) != 1:
-        raise ValueError(
-            f"weights of {decl.target!r} have no small exact rational representation "
-            f"summing to 1 (they sum to {sum(weights.values())})"
-        )
-    return weights
+    return ConstraintSystem(variables, pairs, [d.weights() for d in decls])
 
 
 def _check_premises(checks: Sequence[PremiseCheck]) -> None:
@@ -748,7 +717,7 @@ def meas_nogo() -> Certificate:
     _check_premises(checks)
 
     decl = next(d for d in theory.mixtures if d.kind == "meas" and d.target == "M")
-    weights = _exact_weights(decl)
+    weights = decl.weights()
     rho = {label: p.rho.matrix for label, p in theory.preparations.items()}
     outcome_states = []
     for name in weights:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .qmath import (
     Effect,
     KrausChannel,
     Povm,
+    as_fraction,
     choi_matrix,
     channels_equal,
     identity,
@@ -59,16 +61,39 @@ class Transformation:
 
 @dataclass(frozen=True)
 class MixtureDecl:
-    """A declared convex decomposition: ``target = sum_i weight_i * component_i``."""
+    """A declared convex decomposition: ``target = sum_i weight_i * component_i``.
+
+    Each weight is read once, by ``as_fraction``, and stored as a
+    ``Fraction``: an int, a rational string such as ``"1/3"`` or a float that
+    a small rational reproduces exactly.  The weights must be nonnegative and
+    sum to exactly 1.  Where a weight meets a ``numpy`` array it is converted
+    with ``float``.
+    """
 
     kind: str  # "prep" | "meas" | "transf"
     target: str
-    components: tuple[tuple[float, str], ...]
+    components: tuple[tuple[Fraction, str], ...]
 
     def __post_init__(self) -> None:
         if self.kind not in ("prep", "meas", "transf"):
             raise ValueError(f"unknown mixture kind {self.kind!r}")
-        object.__setattr__(self, "components", tuple((float(w), str(l)) for w, l in self.components))
+        components = tuple((as_fraction(w), str(l)) for w, l in self.components)
+        if any(w < 0 for w, _ in components):
+            raise ValueError(f"weights of {self.target!r} must be nonnegative")
+        total = sum(w for w, _ in components)
+        if total != 1:
+            raise ValueError(
+                f"weights of {self.target!r} have no small exact rational representation "
+                f"summing to 1 (they sum to {total})"
+            )
+        object.__setattr__(self, "components", components)
+
+    def weights(self) -> dict[str, Fraction]:
+        """The total weight on each component label, in order of first appearance."""
+        out: dict[str, Fraction] = {}
+        for w, label in self.components:
+            out[label] = out.get(label, 0) + w
+        return out
 
 
 def _check_weights(weights: Sequence[float]) -> None:
@@ -107,6 +132,18 @@ class OperationalTheory:
                 raise ValueError(f"duplicate measurement label {m.label!r}")
             self.measurements[m.label] = m
         self.mixtures: tuple[MixtureDecl, ...] = tuple(mixtures)
+        tables = {
+            "prep": ("preparation", self.preparations),
+            "meas": ("measurement", self.measurements),
+            "transf": ("transformation", self.transformations),
+        }
+        for decl in self.mixtures:
+            noun, table = tables[decl.kind]
+            for label in (decl.target, *(l for _, l in decl.components)):
+                if label not in table:
+                    raise ValueError(
+                        f"{decl.kind} mixture {decl.target!r}: unknown {noun} {label!r}"
+                    )
         dims = (
             [p.rho.dim for p in self.preparations.values()]
             + [m.povm.dim for m in self.measurements.values()]
@@ -123,11 +160,9 @@ class OperationalTheory:
         """Largest entrywise deviation of any declared mixture from its target."""
         worst = 0.0
         for decl in self.mixtures:
-            weights = [w for w, _ in decl.components]
-            _check_weights(weights)
             if decl.kind == "prep":
                 target = self.preparations[decl.target].rho.matrix
-                total = sum(w * self.preparations[l].rho.matrix for w, l in decl.components)
+                total = sum(float(w) * self.preparations[l].rho.matrix for w, l in decl.components)
                 worst = max(worst, float(np.abs(total - target).max()))
             elif decl.kind == "meas":
                 target = self.measurements[decl.target].povm
@@ -135,12 +170,15 @@ class OperationalTheory:
                 if any(p.outcome_count != target.outcome_count for p in parts):
                     raise ValueError(f"mixture {decl.target!r} mixes unequal outcome counts")
                 for k in range(target.outcome_count):
-                    total = sum(w * povm[k].matrix for (w, _), povm in zip(decl.components, parts))
+                    total = sum(
+                        float(w) * povm[k].matrix for (w, _), povm in zip(decl.components, parts)
+                    )
                     worst = max(worst, float(np.abs(total - target[k].matrix).max()))
             else:
                 target = choi_matrix(self.transformations[decl.target].channel)
                 total = sum(
-                    w * choi_matrix(self.transformations[l].channel) for w, l in decl.components
+                    float(w) * choi_matrix(self.transformations[l].channel)
+                    for w, l in decl.components
                 )
                 worst = max(worst, float(np.abs(total - target).max()))
         return worst
@@ -164,7 +202,7 @@ class OperationalTheory:
                 {
                     "kind": d.kind,
                     "target": d.target,
-                    "components": [{"weight": w, "label": l} for w, l in d.components],
+                    "components": [{"weight": float(w), "label": l} for w, l in d.components],
                 }
                 for d in self.mixtures
             ],
@@ -174,31 +212,49 @@ class OperationalTheory:
     def from_json(cls, doc: dict, tol: float = VALIDITY_TOL) -> "OperationalTheory":
         preps = [
             Preparation(entry["label"], DensityOperator(matrix_from_json(entry["rho"])))
-            for entry in doc.get("preparations", ())
+            for entry in _json_entries(doc, "preparations", ("label", "rho"))
         ]
         meas = [
             Measurement(
                 entry["label"],
                 Povm(tuple(Effect(matrix_from_json(e)) for e in entry["effects"])),
             )
-            for entry in doc.get("measurements", ())
+            for entry in _json_entries(doc, "measurements", ("label", "effects"))
         ]
         transf = [
             Transformation(
                 entry["label"],
                 KrausChannel(tuple(matrix_from_json(w) for w in entry["kraus"])),
             )
-            for entry in doc.get("transformations", ())
+            for entry in _json_entries(doc, "transformations", ("label", "kraus"))
         ]
         mixtures = [
             MixtureDecl(
                 entry["kind"],
                 entry["target"],
-                tuple((c["weight"], c["label"]) for c in entry["components"]),
+                tuple(
+                    (c["weight"], c["label"])
+                    for c in _json_entries(
+                        entry, "components", ("weight", "label"), f"mixture {entry['target']!r}"
+                    )
+                ),
             )
-            for entry in doc.get("mixtures", ())
+            for entry in _json_entries(doc, "mixtures", ("kind", "target", "components"))
         ]
         return cls(preps, transf, meas, mixtures, tol=tol)
+
+
+def _json_entries(owner: dict, field: str, keys: tuple[str, ...], where: str = "theory") -> list:
+    """``owner[field]`` (empty when absent), which must be a list of objects
+    that each hold ``keys``; anything else raises ``TypeError`` naming the field."""
+    entries = owner.get(field, [])
+    if not isinstance(entries, list) or not all(
+        isinstance(e, dict) and all(k in e for k in keys) for e in entries
+    ):
+        raise TypeError(
+            f"{where} field {field!r} must be a list of objects with keys {', '.join(keys)}"
+        )
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +457,16 @@ def hexagon_theory() -> OperationalTheory:
     """
     states = hexagon_states()
     preps = {name: Preparation(name, rho) for name, rho in states.items()}
+    half, third = Fraction(1, 2), Fraction(1, 3)
     prep_mixture_decls = [
-        MixtureDecl("prep", "aA", ((0.5, "a"), (0.5, "A"))),
-        MixtureDecl("prep", "bB", ((0.5, "b"), (0.5, "B"))),
-        MixtureDecl("prep", "cC", ((0.5, "c"), (0.5, "C"))),
-        MixtureDecl("prep", "abc", ((1 / 3, "a"), (1 / 3, "b"), (1 / 3, "c"))),
-        MixtureDecl("prep", "ABC", ((1 / 3, "A"), (1 / 3, "B"), (1 / 3, "C"))),
+        MixtureDecl("prep", "aA", ((half, "a"), (half, "A"))),
+        MixtureDecl("prep", "bB", ((half, "b"), (half, "B"))),
+        MixtureDecl("prep", "cC", ((half, "c"), (half, "C"))),
+        MixtureDecl("prep", "abc", ((third, "a"), (third, "b"), (third, "c"))),
+        MixtureDecl("prep", "ABC", ((third, "A"), (third, "B"), (third, "C"))),
     ]
     mixed_preps = [
-        mix_preparations([(w, preps[l]) for w, l in d.components], d.target)
+        mix_preparations([(float(w), preps[l]) for w, l in d.components], d.target)
         for d in prep_mixture_decls
     ]
 
@@ -417,20 +474,20 @@ def hexagon_theory() -> OperationalTheory:
         f"M{x}": Measurement(f"M{x}", Povm((Effect(states[x].matrix), Effect(states[x.upper()].matrix))))
         for x in "abc"
     }
-    meas_mixture_decl = MixtureDecl("meas", "M", ((1 / 3, "Ma"), (1 / 3, "Mb"), (1 / 3, "Mc")))
+    meas_mixture_decl = MixtureDecl("meas", "M", ((third, "Ma"), (third, "Mb"), (third, "Mc")))
     mixed_meas = mix_measurements(
-        [(w, pvms[l]) for w, l in meas_mixture_decl.components], meas_mixture_decl.target
+        [(float(w), pvms[l]) for w, l in meas_mixture_decl.components], meas_mixture_decl.target
     )
     coin = Measurement("Mtrivial", coin_flip_povm(), "ignores the system and flips a fair coin")
 
     rotations = rotation_transformations()
     projection = Transformation("T", y_projection_channel())
     transf_mixture_decls = [
-        MixtureDecl("transf", "T", ((0.5, "T0"), (0.5, "T180"))),
-        MixtureDecl("transf", "T", ((0.5, "T60"), (0.5, "T240"))),
-        MixtureDecl("transf", "T", ((0.5, "T120"), (0.5, "T300"))),
-        MixtureDecl("transf", "T", ((1 / 3, "T0"), (1 / 3, "T120"), (1 / 3, "T240"))),
-        MixtureDecl("transf", "T", ((1 / 3, "T60"), (1 / 3, "T180"), (1 / 3, "T300"))),
+        MixtureDecl("transf", "T", ((half, "T0"), (half, "T180"))),
+        MixtureDecl("transf", "T", ((half, "T60"), (half, "T240"))),
+        MixtureDecl("transf", "T", ((half, "T120"), (half, "T300"))),
+        MixtureDecl("transf", "T", ((third, "T0"), (third, "T120"), (third, "T240"))),
+        MixtureDecl("transf", "T", ((third, "T60"), (third, "T180"), (third, "T300"))),
     ]
 
     return OperationalTheory(
@@ -447,7 +504,9 @@ def channel_decompositions(theory: OperationalTheory) -> list[tuple[Transformati
     decls = [d for d in theory.mixtures if d.kind == "transf"]
     return [
         (
-            mix_channels([(w, theory.transformations[l]) for w, l in d.components], f"K{k}"),
+            mix_channels(
+                [(float(w), theory.transformations[l]) for w, l in d.components], f"K{k}"
+            ),
             theory.transformations[d.target],
         )
         for k, d in enumerate(decls, start=1)

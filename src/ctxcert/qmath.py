@@ -11,12 +11,15 @@ matrices, raw channel images) are returned as read-only arrays, unchecked.
 
 JSON convention shared by every module in this package: a complex number
 serializes as a two-element array ``[re, im]``, and a matrix as a row-major
-nested list of such pairs.
+nested list of such pairs.  Entries read back must be JSON numbers
+(``real_from_json``); exact coefficients and mixture weights are read by
+``as_fraction`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -302,9 +305,39 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def real_from_json(value) -> float:
+    """A JSON number as a float; booleans, strings and other values are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"number {value!r} is out of range") from None
+
+
 def complex_from_json(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise TypeError(f"expected a complex number as [re, im], got {pair!r}")
+    return complex(real_from_json(pair[0]), real_from_json(pair[1]))
+
+
+def as_fraction(value) -> Fraction:
+    """Exact reading of a coefficient or weight: an int, a ``Fraction``, a
+    rational string such as ``"1/3"``, or a float that a small rational
+    reproduces exactly.  Booleans and other values are refused."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, str, float)):
+        raise TypeError(f"cannot interpret {value!r} as an exact coefficient")
+    try:
+        exact = Fraction(value)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
+    if isinstance(value, float):
+        exact = exact.limit_denominator(10**9)
+        if float(exact) != value:
+            raise ValueError(f"float {value!r} has no small exact rational representation")
+    return exact
 
 
 def matrix_to_json(m: np.ndarray) -> list:

@@ -1,9 +1,10 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from ctxcert import nogo
+from ctxcert import bbmodel, nogo
 from ctxcert.cli import main, render_bloch_disk_svg
 from ctxcert.nogo import MAX_DISJOINT_PAIRS
 from ctxcert.operational import (
@@ -14,6 +15,7 @@ from ctxcert.operational import (
     hexagon_theory,
     mix_preparations,
 )
+from ctxcert.qmath import matrix_to_json
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -226,10 +228,83 @@ class TestFeasibilityCommand:
 
     def test_weight_without_an_exact_rational_exits_two(self, capsys, tmp_path):
         w = 0.123456789012
-        path = self._theory_file(tmp_path, [("m", ((w, "a"), (1 - w, "A")))], states=("a", "A"))
+        path = self._theory_file(tmp_path, [("m", ((0.5, "a"), (0.5, "A")))], states=("a", "A"))
+        doc = json.loads(path.read_text())
+        doc["preparations"][-1]["rho"] = matrix_to_json(np.diag([w, 1 - w]))
+        for component, weight in zip(doc["mixtures"][0]["components"], (w, 1 - w)):
+            component["weight"] = weight
+        path.write_text(json.dumps(doc))
         code, _, stderr = _run(capsys, "feasibility", str(path))
         assert code == 2
         assert "no small exact rational representation" in stderr
+
+    def test_rational_string_weights_give_the_float_file_bytes(self, capsys, theory_file, tmp_path):
+        doc = json.loads(theory_file.read_text())
+        for decl in doc["mixtures"]:
+            for component in decl["components"]:
+                component["weight"] = {0.5: "1/2", 1 / 3: "1/3"}[component["weight"]]
+        rational = tmp_path / "rational.json"
+        rational.write_text(json.dumps(doc))
+        expected = _run(capsys, "feasibility", str(theory_file))
+        assert expected[0] == 3
+        assert _run(capsys, "feasibility", str(rational)) == expected
+
+    def test_boolean_weight_exits_two(self, capsys, tmp_path):
+        path = self._theory_file(tmp_path, [("m", ((1, "a"),))], states=("a", "A"))
+        doc = json.loads(path.read_text())
+        doc["mixtures"][0]["components"][0]["weight"] = True
+        path.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert "cannot interpret True" in stderr
+
+    def test_meas_weights_summing_to_one_only_within_tolerance_exit_two(self, capsys, theory_file):
+        doc = json.loads(theory_file.read_text())
+        meas = next(d for d in doc["mixtures"] if d["kind"] == "meas")
+        meas["components"][2]["weight"] = 0.333333334  # the sum is off by 6.7e-10
+        theory_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(theory_file))
+        assert code == 2
+        assert "weights of 'M' have no small exact rational representation summing to 1" in stderr
+
+    @pytest.mark.parametrize("row, col, entry", [(0, 0, ["1", 0]), (0, 1, [False, 0])])
+    def test_matrix_entry_that_is_not_a_number_exits_two(
+        self, capsys, theory_file, row, col, entry
+    ):
+        doc = json.loads(theory_file.read_text())
+        doc["preparations"][0]["rho"][row][col] = entry
+        theory_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(theory_file))
+        assert code == 2
+        assert "expected a number" in stderr
+
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            (
+                ("mixtures", 0, "components", 0, "label"),
+                "zz",
+                "prep mixture 'aA': unknown preparation 'zz'",
+            ),
+            (("mixtures", 0, "target"), "nope", "prep mixture 'nope': unknown preparation 'nope'"),
+            (("mixtures", 0, "kind"), "meas", "meas mixture 'aA': unknown measurement 'aA'"),
+            (("preparations",), "abc", "theory field 'preparations'"),
+            (("mixtures",), {"aA": {}}, "theory field 'mixtures'"),
+        ],
+        ids=["component", "target", "kind", "preparations", "mixtures"],
+    )
+    def test_theory_error_names_the_mixture_or_field(
+        self, capsys, theory_file, path, value, named
+    ):
+        doc = json.loads(theory_file.read_text())
+        owner = doc
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = value
+        theory_file.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(theory_file))
+        assert code == 2
+        assert named in stderr
 
 
 class TestSimulateCommand:
@@ -307,6 +382,8 @@ class TestSimulateCommand:
             ("--prep", [{"weight": 1.0, "state": [["1", 0], [0, 0]]}]),
             ("--prep", {"weight": 1.0, "state": [[1, 0], [0, 0]]}),
             ("--povm", {"effects": [[[1, 0], [0, 0]]]}),
+            ("--prep", [{"weight": 1.0, "state": [[True, 0], [0, 0]]}]),
+            ("--prep", [{"weight": True, "state": [[1, 0], [0, 0]]}]),
         ],
     )
     def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc):
@@ -323,6 +400,16 @@ class TestSimulateCommand:
             capsys, "simulate-bb", "--prep", "a", "--povm", "a", "--samples", "0"
         )
         assert code == 2
+
+    def test_sample_count_over_the_limit_exits_two_before_drawing(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise RuntimeError("the component draw was reached")
+
+        monkeypatch.setattr(bbmodel, "_component_indices", unreachable)
+        argv = ["--prep", "a", "--povm", "a", "--samples", str(10**12)]
+        code, _, stderr = _run(capsys, "simulate-bb", *argv)
+        assert code == 2
+        assert f"limit of {bbmodel.MAX_SAMPLES}" in stderr
 
 
 class TestFigureCommand:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ class TestHexagonTheory:
     def test_mixture_targets_all_equal_center(self, theory):
         for label in ("aA", "bB", "cC", "abc", "ABC"):
             assert np.abs(theory.preparations[label].rho.matrix - identity(2) / 2).max() < 1e-12
+
+    def test_declared_weights_are_exact(self):
+        decl = MixtureDecl("prep", "m", (("1/3", "a"), (Fraction(1, 3), "b"), (1 / 3, "a")))
+        assert decl.components[0] == (Fraction(1, 3), "a")
+        assert decl.weights() == {"a": Fraction(2, 3), "b": Fraction(1, 3)}
+
+    @pytest.mark.parametrize(
+        "components", [((True, "a"),), ((-0.5, "a"), (1.5, "b")), ((0.5, "a"),)]
+    )
+    def test_declared_weights_refused(self, components):
+        with pytest.raises((TypeError, ValueError)):
+            MixtureDecl("prep", "m", components)
 
     def test_corrupted_mixture_rejected(self, theory):
         with pytest.raises(ValueError):

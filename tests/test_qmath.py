@@ -31,6 +31,7 @@ from ctxcert.qmath import (
     matrix_from_json,
     matrix_to_json,
     pure_density,
+    real_from_json,
     unitary_channel,
     unitary_rotation_y,
 )
@@ -310,3 +311,8 @@ class TestJson:
         assert complex_from_json(complex_to_json(z)) == z
         m = np.array([[1.0, 2.0 + 1.0j], [0.0, -1.0j]])
         assert np.abs(matrix_from_json(matrix_to_json(m)) - m).max() == 0.0
+
+    @pytest.mark.parametrize("value", [True, "1", None, 10**400])
+    def test_only_representable_numbers_are_read(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            real_from_json(value)
