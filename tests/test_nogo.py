@@ -22,6 +22,7 @@ from ctxcert.bbmodel import (
     bb_meas_noncontextuality_property,
     bb_simulate,
 )
+from ctxcert.cli import render_bloch_disk_svg
 from ctxcert.kraus import verify_mixture_identities
 from ctxcert.nogo import (
     ConstraintSystem,
@@ -757,6 +758,12 @@ class TestGoldenCertificates:
     def test_reports(self, name):
         build, digest = self.REPORTS[name]
         assert _sha256(build()) == digest
+
+    def test_figure_bloch(self):
+        """The ``figure-bloch`` SVG bytes."""
+        assert hashlib.sha256(render_bloch_disk_svg().encode()).hexdigest() == (
+            "2fc23de5ba8b0fc8e9b54486f5cbf14d5d64d30bfaa0cdd69ba26f1c4729f5cc"
+        )
 
 
 class TestValidateOnce:
