@@ -14,7 +14,6 @@ from .qmath import (
     channels_equal,
     choi_matrix,
     density_from_bloch,
-    is_positive_semidefinite,
     pure_density,
     unitary_rotation_y,
 )
@@ -24,27 +23,21 @@ from .operational import (
     OperationalTheory,
     Preparation,
     Transformation,
-    coarse_grain_povm,
     coin_flip_povm,
     hexagon_theory,
-    meas_equivalent,
     mix_channels,
     mix_measurements,
     mix_preparations,
     prep_equivalent,
-    transf_equivalent,
 )
 from .ontomodel import (
     Distribution,
     IndicatorSet,
     OntModel,
     OnticSpace,
-    StateView,
     TransitionMatrix,
-    classify_state_view,
     disjoint,
     is_outcome_deterministic,
-    model_reproduces_theory,
     outcome_determinism_from_prep_nc,
     predict,
     support,
@@ -73,9 +66,7 @@ from .bbmodel import (
 )
 from .kraus import (
     RemixMatrix,
-    pair_remix_unitary,
     remix_kraus,
-    triple_remix_unitary,
     verify_mixture_identities,
     with_zero_ops,
 )

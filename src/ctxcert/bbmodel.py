@@ -35,9 +35,10 @@ from .qmath import (
 RAY_TOL = 1e-12
 
 #: Hard ceiling on the samples of one draw, checked before anything is allocated.  Peak RSS of
-#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 85, 132 and 228 MB at 10, 1e6,
-#: 2e6 and 4e6 samples (Python 3.11, numpy, Linux), about 48 B per sample with a two-outcome
-#: POVM, so the largest allowed run needs about 1 GB; each further outcome adds about 9 B.
+#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 65, 93 and 148 MB at 10, 1e6,
+#: 2e6 and 4e6 samples (Python 3.11, numpy, Linux), and the same with a three- or a 100-outcome
+#: ``--povm @file``: about 28 B per sample whatever the outcome count, so the largest allowed
+#: run needs about 0.6 GB.
 MAX_SAMPLES = 2 * 10**7
 
 
@@ -183,13 +184,12 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     rng = _rng(seed)
     comps = _component_indices(prep, n, rng)
     u = rng.random(n)
-    # Column k of `table`: cumulative response probabilities of component k.
-    table = np.column_stack([
-        np.cumsum(bb_indicator(povm, s)) for _, s in prep.mixture
-    ])
-    cums = table[:, comps]
-    outcomes = np.minimum((u[None, :] >= cums).sum(axis=0), povm.outcome_count - 1)
-    counts = np.bincount(outcomes, minlength=povm.outcome_count)
+    # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
+    counts = np.zeros(povm.outcome_count, dtype=np.int64)
+    for k, (_, s) in enumerate(prep.mixture):
+        cum = np.cumsum(bb_indicator(povm, s))
+        picks = np.searchsorted(cum, u[comps == k], side="right")
+        counts += np.bincount(np.minimum(picks, povm.outcome_count - 1), minlength=len(counts))
     freqs = counts / n
     born = np.array([born_probability(prep.density(), e) for e in povm.effects])
     return SimulationReport(

@@ -20,12 +20,16 @@ import numpy as np
 
 from . import nogo
 from .bbmodel import BBPreparation, PureOnticState, bb_simulate
-from .operational import OperationalTheory, hexagon_state_vectors, hexagon_theory
+from .operational import (
+    OperationalTheory,
+    hexagon_state_vectors,
+    hexagon_theory,
+    render_bloch_disk_svg,
+)
 from .qmath import (
     VALIDITY_TOL,
     Effect,
     Povm,
-    bloch_from_density,
     complex_from_json,
     matrix_from_json,
     real_from_json,
@@ -243,73 +247,6 @@ def cmd_simulate_bb(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # figure-bloch subcommand.
-
-_FIGURE_SIZE = 420.0
-_FIGURE_RADIUS = 170.0
-
-
-def _disk_xy(x: float, z: float) -> tuple[float, float]:
-    cx = cy = _FIGURE_SIZE / 2
-    return (cx + _FIGURE_RADIUS * x, cy - _FIGURE_RADIUS * z)
-
-
-def render_bloch_disk_svg() -> str:
-    """SVG of the z-x great-circle disk with the hexagon theory's six states,
-    its two-member decompositions as segments and its three-member ones as
-    triangles, and the center marker."""
-    theory = hexagon_theory()
-    decls = [d for d in theory.mixtures if d.kind == "prep"]
-    states = {}
-    for label in nogo.system_from_theory(theory).variables:
-        x, _, z = bloch_from_density(theory.preparations[label].rho)
-        states[label] = (float(x), float(z))
-    cx = cy = _FIGURE_SIZE / 2
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_FIGURE_SIZE:.0f}" height="{_FIGURE_SIZE:.0f}" '
-        f'viewBox="0 0 {_FIGURE_SIZE:.0f} {_FIGURE_SIZE:.0f}">',
-        f'  <circle class="disk" cx="{cx}" cy="{cy}" r="{_FIGURE_RADIUS}" '
-        'fill="none" stroke="#444444" stroke-width="1.5"/>',
-        f'  <text x="{cx + 6:.1f}" y="{cy - _FIGURE_RADIUS - 8:.1f}" font-size="13" '
-        'fill="#444444">+z</text>',
-        f'  <text x="{cx + _FIGURE_RADIUS + 6:.1f}" y="{cy + 4:.1f}" font-size="13" '
-        'fill="#444444">+x</text>',
-    ]
-    for (_, first), (_, second) in (d.components for d in decls if len(d.components) == 2):
-        x1, y1 = _disk_xy(*states[first])
-        x2, y2 = _disk_xy(*states[second])
-        lines.append(
-            f'  <line class="decomposition-segment" x1="{x1:.2f}" y1="{y1:.2f}" '
-            f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#1f77b4" stroke-width="1.6"/>'
-        )
-    for trine in (d.components for d in decls if len(d.components) == 3):
-        points = " ".join(
-            "{:.2f},{:.2f}".format(*_disk_xy(*states[name])) for _, name in trine
-        )
-        lines.append(
-            f'  <polygon class="decomposition-triangle" points="{points}" '
-            'fill="none" stroke="#d62728" stroke-width="1.6"/>'
-        )
-    lines.append(
-        f'  <circle class="center-marker" cx="{cx}" cy="{cy}" r="4" fill="#2ca02c"/>'
-    )
-    lines.append(
-        f'  <text x="{cx + 8:.1f}" y="{cy + 14:.1f}" font-size="13" fill="#2ca02c">I/2</text>'
-    )
-    for name, (x, z) in states.items():
-        px, py = _disk_xy(x, z)
-        lines.append(
-            f'  <circle class="state-marker" cx="{px:.2f}" cy="{py:.2f}" r="5" fill="#111111"/>'
-        )
-        lx = px + (10 if x >= 0 else -22)
-        ly = py + (-10 if z >= 0 else 18)
-        lines.append(
-            f'  <text class="state-label" x="{lx:.2f}" y="{ly:.2f}" font-size="15" '
-            f'fill="#111111">{name}</text>'
-        )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_figure_bloch(args: argparse.Namespace) -> int:

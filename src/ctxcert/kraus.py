@@ -2,15 +2,11 @@
 
 Any unitary recombination ``X_v = sum_u u[v, u] W_u`` of a channel's Kraus
 operators represents the same channel; zero operators may be appended first
-so that representations of different cardinality can be related.  The two
-explicit remixing families here rotate the balanced two-element
-representation of the y-axis projection channel into its other balanced
-two- and three-element representations.
+so that representations of different cardinality can be related.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -70,33 +66,6 @@ def remix_kraus(channel: KrausChannel, u: RemixMatrix) -> KrausChannel:
     ops = np.stack(channel.kraus_ops)
     mixed = np.einsum("nm,mij->nij", u.u, ops)
     return KrausChannel(tuple(mixed))
-
-
-def pair_remix_unitary(theta: float) -> RemixMatrix:
-    """2x2 remix sending the balanced pair at angles (0, pi) to (theta, theta+pi)."""
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    return RemixMatrix(np.array([[c, s], [-s, c]], dtype=complex))
-
-
-def triple_remix_unitary(theta: float) -> RemixMatrix:
-    """3x3 remix sending the zero-padded balanced pair to the balanced triple.
-
-    Row ``k`` produces the rotation at ``theta + 4k*pi/3``; modulo a full
-    turn these are the angles ``theta + 2k*pi/3``, with the wrapped operator
-    carrying a global sign that is invisible at the channel level.
-    """
-    rows = []
-    for k in range(3):
-        angle = theta / 2 + k * 2 * math.pi / 3
-        rows.append(
-            [
-                math.sqrt(2 / 3) * math.cos(angle),
-                math.sqrt(2 / 3) * math.sin(angle),
-                math.sqrt(1 / 3),
-            ]
-        )
-    return RemixMatrix(np.array(rows, dtype=complex))
 
 
 @dataclass(frozen=True)

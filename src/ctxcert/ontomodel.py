@@ -2,22 +2,20 @@
 
 Distributions over ontic states, indicator-function sets for measurements,
 transition matrices for transformations, the prediction rule contracting
-them, and the structural classifications (outcome determinism, ontic versus
-epistemic view of states).  All of the integrals of the continuum picture
-become finite sums here; every no-go argument is pointwise in the ontic
-state, so finite spaces suffice to witness feasibility.
+them, and the derivation of outcome determinism from preparation
+noncontextuality.  All of the integrals of the continuum picture become
+finite sums here; every no-go argument is pointwise in the ontic state, so
+finite spaces suffice to witness feasibility.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .operational import OperationalTheory
-from .qmath import VALIDITY_TOL, apply_channel, born_probability, frozen_array
+from .qmath import VALIDITY_TOL, frozen_array
 
 #: Label of the completely mixed state in ``outcome_determinism_from_prep_nc``.
 MIXED_LABEL = "I/d"
@@ -172,20 +170,6 @@ def predict(mu: Distribution, gamma: TransitionMatrix | None, xi: IndicatorSet) 
     return xi.values @ w
 
 
-def evolve(gamma: TransitionMatrix, mu: Distribution) -> Distribution:
-    """Push a distribution through a transition matrix."""
-    if gamma.size_in != mu.size:
-        raise ValueError("transition matrix and distribution sizes differ")
-    return Distribution(gamma.matrix @ mu.weights)
-
-
-def compose(second: TransitionMatrix, first: TransitionMatrix) -> TransitionMatrix:
-    """Transition matrix of ``first`` followed by ``second``."""
-    if second.size_in != first.size_out:
-        raise ValueError("transition matrices do not compose")
-    return TransitionMatrix(second.matrix @ first.matrix)
-
-
 def support(mu: Distribution, tol: float = VALIDITY_TOL) -> frozenset[int]:
     """Indices carrying more than ``tol`` probability."""
     return frozenset(int(i) for i in np.flatnonzero(mu.weights > tol))
@@ -202,124 +186,6 @@ def is_outcome_deterministic(xi: IndicatorSet, tol: float = VALIDITY_TOL) -> boo
     """True iff every indicator value is within ``tol`` of 0 or 1 (idempotent)."""
     v = xi.values
     return bool(np.minimum(np.abs(v), np.abs(v - 1.0)).max() <= tol)
-
-
-# ---------------------------------------------------------------------------
-# Structural classification of state representations.
-
-
-class StateView(enum.Enum):
-    ONTIC = "Ontic"
-    EPISTEMIC = "Epistemic"
-    NEITHER = "Neither"
-
-
-@dataclass(frozen=True)
-class StateViewReport:
-    view: StateView
-    vacuous: bool
-    #: per unordered pair: (label, label, orthogonal, disjoint)
-    pairs: tuple[tuple[str, str, bool, bool], ...]
-
-
-def classify_state_view(
-    model: OntModel,
-    prep_labels: Iterable[str],
-    orthogonality: Callable[[str, str], bool],
-) -> StateViewReport:
-    """Classify how a set of state representations treats distinctness.
-
-    Epistemic: distributions are disjoint exactly for the orthogonal pairs.
-    Ontic: every distinct pair is disjoint.  When both criteria hold (in
-    particular for fewer than two labels, where the check is vacuous) the
-    weaker Epistemic verdict is returned.
-    """
-    labels = sorted(set(prep_labels))
-    for label in labels:
-        if label not in model.prep_map:
-            raise KeyError(f"no distribution for label {label!r}")
-    rows = []
-    for i, x in enumerate(labels):
-        for y in labels[i + 1 :]:
-            orth = bool(orthogonality(x, y))
-            dis = disjoint(model.prep_map[x], model.prep_map[y])
-            rows.append((x, y, orth, dis))
-    vacuous = not rows
-    epistemic = all(orth == dis for _, _, orth, dis in rows)
-    ontic = all(dis for _, _, _, dis in rows)
-    if epistemic:
-        view = StateView.EPISTEMIC
-    elif ontic:
-        view = StateView.ONTIC
-    else:
-        view = StateView.NEITHER
-    return StateViewReport(view=view, vacuous=vacuous, pairs=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Bulk verification against an operational theory.
-
-
-@dataclass(frozen=True)
-class TripleDeviation:
-    prep: str
-    transf: str | None
-    meas: str
-    deviation: float
-
-
-@dataclass(frozen=True)
-class ReproductionReport:
-    max_deviation: float
-    #: triples exceeding the requested tolerance, in deterministic label order
-    failures: tuple[TripleDeviation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def model_reproduces_theory(
-    model: OntModel, theory: OperationalTheory, tol: float = VALIDITY_TOL
-) -> ReproductionReport:
-    """Compare the model's predictions to the Born rule on every triple.
-
-    Every (preparation, optional transformation, measurement) combination
-    over the theory's labels is evaluated; the report carries the maximum
-    deviation and all failing triples.  Raises ``KeyError`` when the model
-    lacks a representation for one of the theory's labels.
-    """
-    for label in theory.preparations:
-        if label not in model.prep_map:
-            raise KeyError(f"model has no distribution for preparation {label!r}")
-    for label in theory.measurements:
-        if label not in model.meas_map:
-            raise KeyError(f"model has no indicator set for measurement {label!r}")
-    for label in theory.transformations:
-        if label not in model.transf_map:
-            raise KeyError(f"model has no transition matrix for {label!r}")
-
-    worst = 0.0
-    failures: list[TripleDeviation] = []
-    transf_options: list[str | None] = [None] + sorted(theory.transformations)
-    for p_label in sorted(theory.preparations):
-        prep = theory.preparations[p_label]
-        mu = model.prep_map[p_label]
-        for t_label in transf_options:
-            if t_label is None:
-                rho, gamma = prep.rho, None
-            else:
-                rho = apply_channel(theory.transformations[t_label].channel, prep.rho)
-                gamma = model.transf_map[t_label]
-            for m_label in sorted(theory.measurements):
-                meas = theory.measurements[m_label]
-                predicted = predict(mu, gamma, model.meas_map[m_label])
-                born = np.array([born_probability(rho, e) for e in meas.povm.effects])
-                dev = float(np.abs(predicted - born).max())
-                worst = max(worst, dev)
-                if dev > tol:
-                    failures.append(TripleDeviation(p_label, t_label, m_label, dev))
-    return ReproductionReport(max_deviation=worst, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

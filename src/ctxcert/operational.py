@@ -8,7 +8,6 @@ procedures is decided by operator equality alone, never by context.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +23,8 @@ from .qmath import (
     KrausChannel,
     Povm,
     as_fraction,
+    bloch_from_density,
     choi_matrix,
-    channels_equal,
     identity,
     matrix_from_json,
     matrix_to_json,
@@ -33,10 +32,6 @@ from .qmath import (
     unitary_channel,
     unitary_rotation_y,
 )
-
-#: Exhaustive outcome-permutation search is refused above this many outcomes.
-MAX_PERMUTATION_OUTCOMES = 8
-
 
 @dataclass(frozen=True)
 class Preparation:
@@ -258,7 +253,7 @@ def _json_entries(owner: dict, field: str, keys: tuple[str, ...], where: str = "
 
 
 # ---------------------------------------------------------------------------
-# Equivalence of procedures (decided by operator equality, the exact quantum
+# Equivalence of preparations (decided by operator equality, the exact quantum
 # criterion for equal statistics under every counterpart procedure).
 
 
@@ -266,50 +261,6 @@ def prep_equivalent(p: Preparation, q: Preparation, tol: float = IDENTITY_TOL) -
     if p.rho.dim != q.rho.dim:
         raise ValueError("preparations act on different dimensions")
     return bool(np.abs(p.rho.matrix - q.rho.matrix).max() <= tol)
-
-
-def meas_equivalent(
-    m: Measurement,
-    n: Measurement,
-    allow_permutation: bool = True,
-    tol: float = IDENTITY_TOL,
-) -> tuple[int, ...] | None:
-    """Outcome pairing under which the two POVMs agree elementwise, or ``None``.
-
-    Returns a permutation ``pi`` with ``E_k = F_pi(k)`` within ``tol`` if one
-    exists.  Outcome-count mismatch yields ``None`` (it is not an error).
-    With ``allow_permutation`` false only the identity pairing is tried.
-    Permuted outcome lists describe the same equivalence class, so the flag
-    defaults to true.
-    """
-    if m.povm.dim != n.povm.dim:
-        raise ValueError("measurements act on different dimensions")
-    k = m.povm.outcome_count
-    if k != n.povm.outcome_count:
-        return None
-
-    def matches(pi: tuple[int, ...]) -> bool:
-        return all(
-            np.abs(m.povm[i].matrix - n.povm[pi[i]].matrix).max() <= tol for i in range(k)
-        )
-
-    if not allow_permutation:
-        ident = tuple(range(k))
-        return ident if matches(ident) else None
-    if k > MAX_PERMUTATION_OUTCOMES:
-        raise ValueError(
-            f"refusing exhaustive permutation search over {k} > {MAX_PERMUTATION_OUTCOMES} outcomes"
-        )
-    for pi in itertools.permutations(range(k)):
-        if matches(pi):
-            return pi
-    return None
-
-
-def transf_equivalent(s: Transformation, t: Transformation) -> bool:
-    if (s.channel.dim_in, s.channel.dim_out) != (t.channel.dim_in, t.channel.dim_out):
-        raise ValueError("transformations act on different dimensions")
-    return channels_equal(s.channel, t.channel, tol=IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -345,31 +296,6 @@ def mix_measurements(components: Sequence[tuple[float, Measurement]], label: str
     )
     note = _mixture_note([(w, m.label) for w, m in components])
     return Measurement(label, Povm(effects), note)
-
-
-def coarse_grain_povm(
-    m: Measurement, partition: Sequence[Sequence[int]], label: str | None = None
-) -> Measurement:
-    """Merge outcomes along a partition of the outcome indices.
-
-    ``partition`` must consist of disjoint index sets that jointly cover all
-    outcomes; merged effects are the partial sums.
-    """
-    k = m.povm.outcome_count
-    seen: set[int] = set()
-    for block in partition:
-        for j in block:
-            if j < 0 or j >= k:
-                raise ValueError(f"outcome index {j} out of range")
-            if j in seen:
-                raise ValueError(f"outcome index {j} appears twice in the partition")
-            seen.add(j)
-    if seen != set(range(k)):
-        raise ValueError("partition does not cover all outcomes")
-    effects = tuple(Effect(sum(m.povm[j].matrix for j in block)) for block in partition)
-    new_label = label if label is not None else f"{m.label}|coarse"
-    note = "coarse graining of " + m.label
-    return Measurement(new_label, Povm(effects), note)
 
 
 def mix_channels(components: Sequence[tuple[float, Transformation]], label: str) -> Transformation:
@@ -511,3 +437,77 @@ def channel_decompositions(theory: OperationalTheory) -> list[tuple[Transformati
         )
         for k, d in enumerate(decls, start=1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The hexagon's disk figure: the z-x great circle of the Bloch ball.
+
+_FIGURE_SIZE = 420.0
+_FIGURE_RADIUS = 170.0
+
+
+def _disk_xy(x: float, z: float) -> tuple[float, float]:
+    cx = cy = _FIGURE_SIZE / 2
+    return (cx + _FIGURE_RADIUS * x, cy - _FIGURE_RADIUS * z)
+
+
+def render_bloch_disk_svg() -> str:
+    """SVG of the z-x great-circle disk with the hexagon theory's six states
+    (the preparations no mixture targets, in declaration order), its
+    two-member decompositions as segments and its three-member ones as
+    triangles, and the center marker."""
+    theory = hexagon_theory()
+    decls = [d for d in theory.mixtures if d.kind == "prep"]
+    targets = {d.target for d in decls}
+    states = {}
+    for label, prep in theory.preparations.items():
+        if label not in targets:
+            x, _, z = bloch_from_density(prep.rho)
+            states[label] = (float(x), float(z))
+    cx = cy = _FIGURE_SIZE / 2
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_FIGURE_SIZE:.0f}" height="{_FIGURE_SIZE:.0f}" '
+        f'viewBox="0 0 {_FIGURE_SIZE:.0f} {_FIGURE_SIZE:.0f}">',
+        f'  <circle class="disk" cx="{cx}" cy="{cy}" r="{_FIGURE_RADIUS}" '
+        'fill="none" stroke="#444444" stroke-width="1.5"/>',
+        f'  <text x="{cx + 6:.1f}" y="{cy - _FIGURE_RADIUS - 8:.1f}" font-size="13" '
+        'fill="#444444">+z</text>',
+        f'  <text x="{cx + _FIGURE_RADIUS + 6:.1f}" y="{cy + 4:.1f}" font-size="13" '
+        'fill="#444444">+x</text>',
+    ]
+    for (_, first), (_, second) in (d.components for d in decls if len(d.components) == 2):
+        x1, y1 = _disk_xy(*states[first])
+        x2, y2 = _disk_xy(*states[second])
+        lines.append(
+            f'  <line class="decomposition-segment" x1="{x1:.2f}" y1="{y1:.2f}" '
+            f'x2="{x2:.2f}" y2="{y2:.2f}" stroke="#1f77b4" stroke-width="1.6"/>'
+        )
+    for trine in (d.components for d in decls if len(d.components) == 3):
+        points = " ".join(
+            "{:.2f},{:.2f}".format(*_disk_xy(*states[name])) for _, name in trine
+        )
+        lines.append(
+            f'  <polygon class="decomposition-triangle" points="{points}" '
+            'fill="none" stroke="#d62728" stroke-width="1.6"/>'
+        )
+    lines.append(
+        f'  <circle class="center-marker" cx="{cx}" cy="{cy}" r="4" fill="#2ca02c"/>'
+    )
+    lines.append(
+        f'  <text x="{cx + 8:.1f}" y="{cy + 14:.1f}" font-size="13" fill="#2ca02c">I/2</text>'
+    )
+    for name, (x, z) in states.items():
+        px, py = _disk_xy(x, z)
+        lines.append(
+            f'  <circle class="state-marker" cx="{px:.2f}" cy="{py:.2f}" r="5" fill="#111111"/>'
+        )
+        lx = px + (10 if x >= 0 else -22)
+        ly = py + (-10 if z >= 0 else 18)
+        lines.append(
+            f'  <text class="state-label" x="{lx:.2f}" y="{ly:.2f}" font-size="15" '
+            f'fill="#111111">{name}</text>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Dense complex matrix algebra for finite-dimensional quantum objects.
 
 Density operators, POVM effects, Kraus channels, Bloch-vector geometry and
-Choi matrices, plus the scalar operations (Born rule, positivity tests,
+Choi matrices, plus the scalar operations (Born rule, Hermitian spectra,
 channel application) that the rest of the toolkit is built on.  All values
 are immutable after construction and safe for unrestricted concurrent reads.
 
@@ -202,15 +202,6 @@ def born_probability(rho: DensityOperator, effect: Effect) -> float:
     if 1.0 < p <= 1.0 + VALIDITY_TOL:
         return 1.0
     return p
-
-
-def is_positive_semidefinite(m, tol: float = VALIDITY_TOL) -> bool:
-    """True iff the minimum eigenvalue of the Hermitian part is >= ``-tol``.
-
-    Uses a symmetric eigendecomposition rather than a Cholesky attempt so
-    that near-singular projectors pass cleanly.  Rejects non-Hermitian input.
-    """
-    return bool(hermitian_spectrum(as_cmatrix(m), "input", tol).min() >= -tol)
 
 
 def density_from_bloch(r: Sequence[float]) -> DensityOperator:

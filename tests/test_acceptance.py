@@ -21,7 +21,7 @@ from ctxcert.bbmodel import (
     bb_prep_contextuality_demo,
     bb_simulate,
 )
-from ctxcert.cli import main, render_bloch_disk_svg
+from ctxcert.cli import main
 from ctxcert.kraus import RemixMatrix, remix_kraus, with_zero_ops
 from ctxcert.nogo import gleason_contradiction, od_unsharp_contradiction, pointwise_feasibility
 from ctxcert.ontomodel import (
@@ -31,7 +31,12 @@ from ctxcert.ontomodel import (
     OnticSpace,
     outcome_determinism_from_prep_nc,
 )
-from ctxcert.operational import hexagon_states, hexagon_state_vectors, y_projection_channel
+from ctxcert.operational import (
+    hexagon_state_vectors,
+    hexagon_states,
+    render_bloch_disk_svg,
+    y_projection_channel,
+)
 from ctxcert.qmath import Effect, Povm, born_probability, choi_deviation, identity, pure_density
 
 from feasibility_oracle import brute_force_feasible, random_system

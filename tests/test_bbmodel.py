@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ctxcert import bbmodel
 from ctxcert.bbmodel import (
     BBPreparation,
     PureOnticState,
@@ -178,6 +180,48 @@ class TestSimulation:
             for seed in range(30)
         ]
         assert sum(outcomes) / len(outcomes) >= 0.99
+
+    def test_counts_match_the_outcome_table_reference(self, vectors, antipodal_pvm):
+        """The per-component lookup counts what an outcomes x samples table of
+        cumulative response probabilities counts, on the same stream."""
+        trine = Povm(tuple(Effect(2 / 3 * pure_density(vectors[x]).matrix) for x in "abc"))
+        weighted = (((0.5, "a"), (0.5, "A")), ((0.2, "a"), (0.3, "b"), (0.5, "c")))
+        n = 1000
+        for mixture in weighted:
+            prep = BBPreparation(tuple((w, PureOnticState(vectors[x])) for w, x in mixture))
+            for povm in (antipodal_pvm, trine):
+                for seed in range(3):
+                    rng = bbmodel._rng(seed)
+                    comps = bbmodel._component_indices(prep, n, rng)
+                    u = rng.random(n)
+                    table = np.column_stack(
+                        [np.cumsum(bb_indicator(povm, s)) for _, s in prep.mixture]
+                    )
+                    outcomes = np.minimum(
+                        (u[None, :] >= table[:, comps]).sum(axis=0), povm.outcome_count - 1
+                    )
+                    expected = np.bincount(outcomes, minlength=povm.outcome_count) / n
+                    report = bb_simulate(prep, povm, n, seed)
+                    assert report.frequencies == tuple(float(f) for f in expected)
+
+    def test_memory_does_not_grow_with_the_outcome_count(self, vectors, antipodal_pvm):
+        """No outcomes x samples table: a 100-outcome draw peaks below twice
+        the traced memory of a two-outcome one."""
+        prep = BBPreparation(
+            ((0.5, PureOnticState(vectors["a"])), (0.5, PureOnticState(vectors["b"])))
+        )
+        hundred = Povm(tuple(Effect(identity(2) / 100) for _ in range(100)))
+        bb_simulate(prep, hundred, 1, seed=3)  # keeps first-call allocations out of the peaks
+
+        def peak(povm):
+            tracemalloc.start()
+            try:
+                bb_simulate(prep, povm, 20_000, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(hundred) < 2 * peak(antipodal_pvm)
 
 
 class TestStructuralDemonstrations:

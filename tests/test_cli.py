@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ctxcert import bbmodel, nogo
-from ctxcert.cli import main, render_bloch_disk_svg
+from ctxcert.cli import main
 from ctxcert.nogo import MAX_DISJOINT_PAIRS
 from ctxcert.operational import (
     MixtureDecl,
@@ -14,6 +14,7 @@ from ctxcert.operational import (
     hexagon_states,
     hexagon_theory,
     mix_preparations,
+    render_bloch_disk_svg,
 )
 from ctxcert.qmath import matrix_to_json
 

@@ -1,13 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from ctxcert.kraus import (
     RemixMatrix,
-    pair_remix_unitary,
     remix_kraus,
-    triple_remix_unitary,
     verify_mixture_identities,
     with_zero_ops,
 )
@@ -15,11 +11,9 @@ from ctxcert.operational import y_projection_channel
 from ctxcert.qmath import (
     apply_channel,
     bloch_from_density,
-    channels_equal,
     choi_deviation,
     density_from_bloch,
     identity,
-    unitary_rotation_y,
 )
 
 
@@ -35,40 +29,6 @@ class TestRemix:
         out = remix_kraus(base, RemixMatrix(identity(2)))
         for w, x in zip(base.kraus_ops, out.kraus_ops):
             assert np.abs(w - x).max() == 0.0
-
-    @pytest.mark.parametrize("theta", [math.pi / 3, 2 * math.pi / 3, 1.234])
-    def test_pair_remix_rotates_the_balanced_pair(self, theta):
-        base = y_projection_channel()
-        out = remix_kraus(base, pair_remix_unitary(theta))
-        s = math.sqrt(0.5)
-        expected = (s * unitary_rotation_y(theta), s * unitary_rotation_y(theta + math.pi))
-        for got, want in zip(out.kraus_ops, expected):
-            assert np.abs(got - want).max() < 1e-14
-        assert channels_equal(base, out)
-
-    @pytest.mark.parametrize("theta", [0.0, math.pi / 3])
-    def test_triple_remix_builds_the_balanced_triple(self, theta):
-        padded = with_zero_ops(y_projection_channel(), 3)
-        out = remix_kraus(padded, triple_remix_unitary(theta))
-        s = math.sqrt(1 / 3)
-        # Row k lands exactly on the rotation at theta + 4k*pi/3 ...
-        for k, got in enumerate(out.kraus_ops):
-            want = s * unitary_rotation_y(theta + k * 4 * math.pi / 3)
-            assert np.abs(got - want).max() < 1e-14
-        # ... which is the balanced triple up to operator order and a sign.
-        targets = [s * unitary_rotation_y(theta + k * 2 * math.pi / 3) for k in range(3)]
-        matched = set()
-        for got in out.kraus_ops:
-            hits = [
-                k
-                for k, want in enumerate(targets)
-                if k not in matched
-                and min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-14
-            ]
-            assert hits
-            matched.add(hits[0])
-        assert matched == {0, 1, 2}
-        assert channels_equal(padded, out)
 
     def test_remix_then_inverse_recovers_the_padded_set(self):
         rng = np.random.default_rng(6)
@@ -88,7 +48,7 @@ class TestRemix:
 
     def test_size_mismatch_refused_without_padding(self):
         with pytest.raises(ValueError):
-            remix_kraus(y_projection_channel(), triple_remix_unitary(0.0))
+            remix_kraus(y_projection_channel(), RemixMatrix(identity(3)))
 
     def test_non_unitary_matrices_rejected(self):
         with pytest.raises(ValueError):
@@ -97,36 +57,6 @@ class TestRemix:
     def test_padding_cannot_shrink(self):
         with pytest.raises(ValueError):
             with_zero_ops(with_zero_ops(y_projection_channel(), 3), 2)
-
-
-class TestRemixUnitaries:
-    def test_pair_remix_at_zero_is_identity(self):
-        assert np.abs(pair_remix_unitary(0.0).u - identity(2)).max() == 0.0
-
-    def test_pair_remix_entries_at_sixty_degrees(self):
-        u = pair_remix_unitary(math.pi / 3).u
-        assert u[0, 0] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
-        assert u[0, 1] == pytest.approx(0.5, abs=1e-15)
-        assert u[1, 0] == pytest.approx(-0.5, abs=1e-15)
-
-    def test_pair_remix_unitarity_residual(self):
-        u = pair_remix_unitary(1.234).u
-        assert np.abs(u @ u.conj().T - identity(2)).max() <= 1e-15
-
-    def test_triple_remix_unitarity_residual_at_zero(self):
-        u = triple_remix_unitary(0.0).u
-        assert np.abs(u @ u.conj().T - identity(3)).max() <= 1e-12
-
-    def test_triple_remix_row_norms_are_one(self):
-        u = triple_remix_unitary(0.87).u
-        assert np.linalg.norm(u, axis=1) == pytest.approx([1.0, 1.0, 1.0], abs=1e-14)
-
-    def test_unitarity_over_random_angles(self):
-        rng = np.random.default_rng(50)
-        for theta in rng.uniform(-2 * math.pi, 2 * math.pi, size=50):
-            for u in (pair_remix_unitary(theta).u, triple_remix_unitary(theta).u):
-                n = u.shape[0]
-                assert np.abs(u @ u.conj().T - identity(n)).max() <= 1e-12
 
 
 @pytest.fixture(scope="module")

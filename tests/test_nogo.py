@@ -22,7 +22,6 @@ from ctxcert.bbmodel import (
     bb_meas_noncontextuality_property,
     bb_simulate,
 )
-from ctxcert.cli import render_bloch_disk_svg
 from ctxcert.kraus import verify_mixture_identities
 from ctxcert.nogo import (
     ConstraintSystem,
@@ -46,6 +45,7 @@ from ctxcert.operational import (
     hexagon_states,
     hexagon_theory,
     mix_preparations,
+    render_bloch_disk_svg,
 )
 from ctxcert.qmath import Effect, Povm, identity
 

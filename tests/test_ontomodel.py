@@ -6,26 +6,15 @@ from ctxcert.ontomodel import (
     IndicatorSet,
     OntModel,
     OnticSpace,
-    StateView,
     TransitionMatrix,
-    classify_state_view,
-    compose,
     disjoint,
-    evolve,
     is_outcome_deterministic,
-    model_reproduces_theory,
     outcome_determinism_from_prep_nc,
     predict,
     support,
 )
-from ctxcert.operational import (
-    Measurement,
-    OperationalTheory,
-    Preparation,
-    hexagon_states,
-    hexagon_theory,
-)
-from ctxcert.qmath import Effect, Povm
+from ctxcert.operational import hexagon_states
+from ctxcert.qmath import Effect
 
 
 def _delta(index: int, size: int) -> Distribution:
@@ -75,23 +64,6 @@ class TestPredict:
             probs = predict(mu, gamma, xi)
             assert probs.min() >= -1e-12
             assert probs.sum() == pytest.approx(1.0, abs=1e-8)
-
-    def test_transition_composition_associates(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(2, 5))
-            w = rng.random(n)
-            mu = Distribution(w / w.sum())
-            mats = []
-            for _ in range(2):
-                g = rng.random((n, n))
-                mats.append(TransitionMatrix(g / g.sum(axis=0, keepdims=True)))
-            raw = rng.random((2, n))
-            xi = IndicatorSet(raw / raw.sum(axis=0, keepdims=True))
-            chained = predict(mu, compose(mats[1], mats[0]), xi)
-            staged = predict(evolve(mats[0], mu), mats[1], xi)
-            assert chained == pytest.approx(staged, abs=1e-12)
-
 
 class TestSupportAndDisjointness:
     def test_point_mass_support(self):
@@ -151,71 +123,6 @@ class TestOutcomeDeterminism:
             assert np.all((xi.values == 0.0) | (xi.values == 1.0))
 
 
-class TestStateView:
-    @staticmethod
-    def _orthogonality():
-        states = hexagon_states()
-        return lambda x, y: bool(
-            np.abs(states[x].matrix @ states[y].matrix).max() < 1e-12
-        )
-
-    def test_per_state_deltas_give_the_ontic_view(self):
-        labels = list("aAbBcC")
-        model = OntModel(
-            OnticSpace(6), prep_map={l: _delta(i, 6) for i, l in enumerate(labels)}
-        )
-        report = classify_state_view(model, labels, self._orthogonality())
-        assert report.view is StateView.ONTIC
-        assert not report.vacuous
-
-    def test_overlap_exactly_on_nonorthogonal_pairs_gives_the_epistemic_view(self):
-        model = OntModel(
-            OnticSpace(3),
-            prep_map={
-                "a": Distribution(np.array([1.0, 0.0, 0.0])),
-                "A": Distribution(np.array([0.0, 1.0, 0.0])),
-                "b": Distribution(np.array([0.25, 0.5, 0.25])),
-            },
-        )
-        report = classify_state_view(model, ["a", "A", "b"], self._orthogonality())
-        assert report.view is StateView.EPISTEMIC
-
-    def test_mixed_behavior_is_neither(self):
-        model = OntModel(
-            OnticSpace(2),
-            prep_map={
-                "a": Distribution(np.array([1.0, 0.0])),
-                "A": Distribution(np.array([1.0, 0.0])),
-                "b": Distribution(np.array([0.0, 1.0])),
-            },
-        )
-        report = classify_state_view(model, ["a", "A", "b"], self._orthogonality())
-        assert report.view is StateView.NEITHER
-
-    def test_single_label_is_vacuously_epistemic(self):
-        model = OntModel(OnticSpace(2), prep_map={"a": _delta(0, 2)})
-        report = classify_state_view(model, ["a"], self._orthogonality())
-        assert report.view is StateView.EPISTEMIC
-        assert report.vacuous
-
-    def test_unknown_label_raises(self):
-        model = OntModel(OnticSpace(2), prep_map={"a": _delta(0, 2)})
-        with pytest.raises(KeyError):
-            classify_state_view(model, ["a", "missing"], self._orthogonality())
-
-
-def _antipodal_theory() -> OperationalTheory:
-    states = hexagon_states()
-    return OperationalTheory(
-        preparations=[Preparation("a", states["a"]), Preparation("A", states["A"])],
-        measurements=[
-            Measurement(
-                "Ma", Povm((Effect(states["a"].matrix), Effect(states["A"].matrix)))
-            )
-        ],
-    )
-
-
 def _two_point_model(swap: bool = False) -> OntModel:
     outcomes = [1, 0] if swap else [0, 1]
     return OntModel(
@@ -223,83 +130,6 @@ def _two_point_model(swap: bool = False) -> OntModel:
         prep_map={"a": _delta(0, 2), "A": _delta(1, 2)},
         meas_map={"Ma": _deterministic_xi(outcomes, 2)},
     )
-
-
-class TestModelReproducesTheory:
-    def test_exact_two_point_model(self):
-        report = model_reproduces_theory(_two_point_model(), _antipodal_theory())
-        assert report.max_deviation == 0.0
-        assert report.ok
-
-    def test_swapped_indicators_fail_maximally(self):
-        report = model_reproduces_theory(_two_point_model(swap=True), _antipodal_theory())
-        assert report.max_deviation == pytest.approx(1.0, abs=0)
-        failing = {(f.prep, f.transf, f.meas) for f in report.failures}
-        assert ("a", None, "Ma") in failing
-
-    def test_empty_theory_passes_vacuously(self):
-        report = model_reproduces_theory(_two_point_model(), OperationalTheory())
-        assert report.ok and report.max_deviation == 0.0
-
-    def test_missing_label_raises(self):
-        model = OntModel(OnticSpace(2), prep_map={"a": _delta(0, 2)})
-        with pytest.raises(KeyError):
-            model_reproduces_theory(model, _antipodal_theory())
-
-    def test_transformation_triples_are_verified_too(self):
-        import math
-
-        from ctxcert.operational import Transformation
-        from ctxcert.qmath import unitary_channel, unitary_rotation_y
-
-        base = _antipodal_theory()
-        theory = OperationalTheory(
-            preparations=list(base.preparations.values()),
-            measurements=list(base.measurements.values()),
-            transformations=[
-                Transformation("half-turn", unitary_channel(unitary_rotation_y(math.pi)))
-            ],
-        )
-        swap = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        model = _two_point_model()
-        model.transf_map["half-turn"] = swap
-        report = model_reproduces_theory(model, theory, tol=1e-12)
-        assert report.ok
-        # A transition matrix that fails to move the distributions is caught.
-        stuck = _two_point_model()
-        stuck.transf_map["half-turn"] = TransitionMatrix(np.eye(2))
-        report = model_reproduces_theory(stuck, theory, tol=1e-12)
-        assert not report.ok
-        assert any(f.transf == "half-turn" for f in report.failures)
-
-    def test_full_hexagon_model_via_response_functions(self):
-        # A 6-point model with Born-rule response functions reproduces all
-        # preparation/measurement statistics but is preparation-contextual
-        # about it (mixtures handled by explicit distributions).
-        from ctxcert.qmath import born_probability
-
-        theory = hexagon_theory()
-        labels = list("aAbBcC")
-        states = {l: theory.preparations[l].rho for l in labels}
-        prep_map = {l: _delta(i, 6) for i, l in enumerate(labels)}
-        prep_map["aA"] = Distribution(np.array([0.5, 0.5, 0, 0, 0, 0]))
-        prep_map["bB"] = Distribution(np.array([0, 0, 0.5, 0.5, 0, 0]))
-        prep_map["cC"] = Distribution(np.array([0, 0, 0, 0, 0.5, 0.5]))
-        prep_map["abc"] = Distribution(np.array([1, 0, 1, 0, 1, 0]) / 3)
-        prep_map["ABC"] = Distribution(np.array([0, 1, 0, 1, 0, 1]) / 3)
-        meas_map = {}
-        for m_label, meas in theory.measurements.items():
-            rows = [
-                [born_probability(states[l], e) for l in labels] for e in meas.povm.effects
-            ]
-            meas_map[m_label] = IndicatorSet(np.array(rows))
-        sub_theory = OperationalTheory(
-            preparations=list(theory.preparations.values()),
-            measurements=list(theory.measurements.values()),
-        )
-        model = OntModel(OnticSpace(6), prep_map=prep_map, meas_map=meas_map)
-        report = model_reproduces_theory(model, sub_theory, tol=1e-12)
-        assert report.ok
 
 
 class TestOutcomeDeterminismDerivation:

@@ -8,14 +8,11 @@ from ctxcert.operational import (
     Measurement,
     MixtureDecl,
     OperationalTheory,
-    coarse_grain_povm,
     hexagon_theory,
-    meas_equivalent,
     mix_channels,
     mix_measurements,
     mix_preparations,
     prep_equivalent,
-    transf_equivalent,
     y_projection_channel,
 )
 from ctxcert.qmath import (
@@ -56,86 +53,6 @@ class TestPrepEquivalence:
         for x, y, z in itertools.product(labels, labels, labels):
             if equiv[(x, y)] and equiv[(y, z)]:
                 assert equiv[(x, z)]
-
-
-class TestMeasEquivalence:
-    def test_coin_flip_measurement_matches_its_own_reversal_under_swap(self, theory):
-        coin = theory.measurements["Mtrivial"]
-        reversed_coin = Measurement(
-            "rev", Povm(tuple(reversed(coin.povm.effects)))
-        )
-        pi = meas_equivalent(coin, reversed_coin)
-        assert pi is not None
-        # The outcome swap is itself a valid pairing for these two lists.
-        swap = (1, 0)
-        assert all(
-            np.abs(coin.povm[k].matrix - reversed_coin.povm[swap[k]].matrix).max() < 1e-12
-            for k in range(2)
-        )
-
-    def test_identity_pairing_for_a_measurement_with_itself(self, theory):
-        assert meas_equivalent(theory.measurements["Ma"], theory.measurements["Ma"]) == (0, 1)
-
-    def test_distinct_pvms_do_not_match(self, theory):
-        assert meas_equivalent(theory.measurements["Ma"], theory.measurements["Mb"]) is None
-
-    def test_outcome_count_mismatch_is_absent_not_an_error(self, theory):
-        single = Measurement("unit", Povm((Effect(identity(2)),)))
-        assert meas_equivalent(theory.measurements["Ma"], single) is None
-
-    def test_permutation_matching_is_symmetric(self, theory):
-        rng = np.random.default_rng(31)
-        base = theory.measurements["Ma"]
-        for _ in range(10):
-            order = tuple(rng.permutation(2))
-            other = Measurement("perm", Povm(tuple(base.povm[k] for k in order)))
-            pi = meas_equivalent(base, other)
-            assert pi is not None
-            inverse = tuple(pi.index(k) for k in range(len(pi)))
-            assert meas_equivalent(other, base) is not None
-            assert all(
-                np.abs(other.povm[k].matrix - base.povm[inverse[k]].matrix).max() < 1e-12
-                for k in range(len(pi))
-            )
-
-    def test_identity_only_mode(self, theory):
-        coin = theory.measurements["Mtrivial"]
-        shifted = Measurement("rev", Povm(tuple(reversed(coin.povm.effects))))
-        assert meas_equivalent(coin, shifted, allow_permutation=False) == (0, 1)
-        ma = theory.measurements["Ma"]
-        swapped = Measurement("sw", Povm(tuple(reversed(ma.povm.effects))))
-        assert meas_equivalent(ma, swapped, allow_permutation=False) is None
-        assert meas_equivalent(ma, swapped, allow_permutation=True) == (1, 0)
-
-    def test_large_outcome_counts_rejected(self):
-        effects = tuple(Effect(identity(2) / 9) for _ in range(9))
-        many = Measurement("many", Povm(effects))
-        with pytest.raises(ValueError):
-            meas_equivalent(many, many)
-
-
-class TestTransfEquivalence:
-    def test_two_declared_decompositions_agree(self, theory):
-        k1 = mix_channels(
-            [(0.5, theory.transformations["T0"]), (0.5, theory.transformations["T180"])], "k1"
-        )
-        k5 = mix_channels(
-            [
-                (1 / 3, theory.transformations["T60"]),
-                (1 / 3, theory.transformations["T180"]),
-                (1 / 3, theory.transformations["T300"]),
-            ],
-            "k5",
-        )
-        assert transf_equivalent(k1, k5)
-
-    def test_reflexive(self, theory):
-        assert transf_equivalent(theory.transformations["T0"], theory.transformations["T0"])
-
-    def test_distinct_rotations_differ(self, theory):
-        assert not transf_equivalent(
-            theory.transformations["T60"], theory.transformations["T120"]
-        )
 
 
 class TestMixtures:
@@ -222,61 +139,6 @@ class TestMixtures:
     def test_singleton_channel_mixture(self, theory):
         single = mix_channels([(1.0, theory.transformations["T0"])], "m")
         assert channels_equal(single.channel, theory.transformations["T0"].channel)
-
-
-class TestCoarseGraining:
-    @staticmethod
-    def _four_outcome_pvm():
-        effects = []
-        for k in range(4):
-            m = np.zeros((4, 4), dtype=complex)
-            m[k, k] = 1.0
-            effects.append(Effect(m))
-        return Measurement("basis4", Povm(tuple(effects)))
-
-    def test_pairing_outcomes_of_an_orthogonal_pvm_stays_projective(self):
-        merged = coarse_grain_povm(self._four_outcome_pvm(), [(0, 1), (2, 3)])
-        assert merged.povm.outcome_count == 2
-        for effect in merged.povm.effects:
-            m = effect.matrix
-            assert np.abs(m @ m - m).max() < 1e-15
-
-    def test_singleton_partition_is_identity(self):
-        base = self._four_outcome_pvm()
-        same = coarse_grain_povm(base, [(0,), (1,), (2,), (3,)])
-        for k in range(4):
-            assert np.abs(same.povm[k].matrix - base.povm[k].matrix).max() == 0.0
-
-    def test_full_merge_gives_unit_effect(self):
-        merged = coarse_grain_povm(self._four_outcome_pvm(), [(0, 1, 2, 3)])
-        assert merged.povm.outcome_count == 1
-        assert np.abs(merged.povm[0].matrix - identity(4)).max() == 0.0
-
-    def test_invalid_partitions_rejected(self):
-        base = self._four_outcome_pvm()
-        with pytest.raises(ValueError):
-            coarse_grain_povm(base, [(0, 1), (1, 2, 3)])
-        with pytest.raises(ValueError):
-            coarse_grain_povm(base, [(0, 1), (2,)])
-
-    def test_mixing_commutes_with_coarse_graining(self, theory):
-        first, second = theory.measurements["Ma"], theory.measurements["Mb"]
-        mixed_then_merged = coarse_grain_povm(
-            mix_measurements([(0.25, first), (0.75, second)], "m"), [(0, 1)]
-        )
-        merged_then_mixed = mix_measurements(
-            [
-                (0.25, coarse_grain_povm(first, [(0, 1)])),
-                (0.75, coarse_grain_povm(second, [(0, 1)])),
-            ],
-            "m",
-        )
-        assert (
-            np.abs(
-                mixed_then_merged.povm[0].matrix - merged_then_mixed.povm[0].matrix
-            ).max()
-            < 1e-15
-        )
 
 
 class TestHexagonTheory:

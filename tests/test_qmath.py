@@ -27,7 +27,6 @@ from ctxcert.qmath import (
     complex_to_json,
     density_from_bloch,
     identity,
-    is_positive_semidefinite,
     matrix_from_json,
     matrix_to_json,
     pure_density,
@@ -93,18 +92,11 @@ class TestBornProbability:
 
 
 class TestPositivity:
-    def test_identity_is_psd(self):
-        assert is_positive_semidefinite(identity(2))
-
-    def test_explicit_negative_eigenvalue(self):
-        assert not is_positive_semidefinite(np.diag([1.0, -0.1]), tol=1e-9)
-
-    def test_rank_one_projector_is_psd(self, states):
-        assert is_positive_semidefinite(states["b"].matrix)
-
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            is_positive_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator([[0.5, 1], [0, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            Effect([[0.5, 0.1], [0, 0.5]])
 
 
 class TestBlochGeometry:
