@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from ctxcert.operational import y_projection_channel
 from ctxcert.qmath import (
     apply_channel,
     bloch_from_density,
+    channels_equal,
     choi_deviation,
     density_from_bloch,
     identity,
+    unitary_rotation_y,
 )
 
 
@@ -23,12 +27,69 @@ def _haarish_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+
+def _pair_remix(theta):
+    """2x2 remix sending the balanced pair at angles (0, pi) to (theta, theta+pi)."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return RemixMatrix(np.array([[c, s], [-s, c]], dtype=complex))
+
+
+def _triple_remix(theta):
+    """3x3 remix whose row k sends the zero-padded balanced pair to the
+    rotation at theta + 4k*pi/3."""
+    rows = []
+    for k in range(3):
+        angle = theta / 2 + k * 2 * math.pi / 3
+        rows.append(
+            [
+                math.sqrt(2 / 3) * math.cos(angle),
+                math.sqrt(2 / 3) * math.sin(angle),
+                math.sqrt(1 / 3),
+            ]
+        )
+    return RemixMatrix(np.array(rows, dtype=complex))
+
+
 class TestRemix:
     def test_identity_remix_keeps_the_kraus_set(self):
         base = y_projection_channel()
         out = remix_kraus(base, RemixMatrix(identity(2)))
         for w, x in zip(base.kraus_ops, out.kraus_ops):
             assert np.abs(w - x).max() == 0.0
+
+    @pytest.mark.parametrize("theta", [math.pi / 3, 2 * math.pi / 3, 1.234])
+    def test_pair_remix_rotates_the_balanced_pair(self, theta):
+        base = y_projection_channel()
+        out = remix_kraus(base, _pair_remix(theta))
+        s = math.sqrt(0.5)
+        expected = (s * unitary_rotation_y(theta), s * unitary_rotation_y(theta + math.pi))
+        for got, want in zip(out.kraus_ops, expected):
+            assert np.abs(got - want).max() < 1e-14
+        assert channels_equal(base, out)
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi / 3])
+    def test_triple_remix_builds_the_balanced_triple(self, theta):
+        padded = with_zero_ops(y_projection_channel(), 3)
+        out = remix_kraus(padded, _triple_remix(theta))
+        s = math.sqrt(1 / 3)
+        # Row k lands exactly on the rotation at theta + 4k*pi/3 ...
+        for k, got in enumerate(out.kraus_ops):
+            want = s * unitary_rotation_y(theta + k * 4 * math.pi / 3)
+            assert np.abs(got - want).max() < 1e-14
+        # ... which is the balanced triple up to operator order and a sign.
+        targets = [s * unitary_rotation_y(theta + k * 2 * math.pi / 3) for k in range(3)]
+        matched = set()
+        for got in out.kraus_ops:
+            hits = [
+                k
+                for k, want in enumerate(targets)
+                if k not in matched
+                and min(np.abs(got - want).max(), np.abs(got + want).max()) < 1e-14
+            ]
+            assert hits
+            matched.add(hits[0])
+        assert matched == {0, 1, 2}
+        assert channels_equal(padded, out)
 
     def test_remix_then_inverse_recovers_the_padded_set(self):
         rng = np.random.default_rng(6)

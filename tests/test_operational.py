@@ -55,6 +55,31 @@ class TestPrepEquivalence:
                 assert equiv[(x, z)]
 
 
+class TestTransfEquivalence:
+    def test_two_declared_decompositions_agree(self, theory):
+        k1 = mix_channels(
+            [(0.5, theory.transformations["T0"]), (0.5, theory.transformations["T180"])], "k1"
+        )
+        k5 = mix_channels(
+            [
+                (1 / 3, theory.transformations["T60"]),
+                (1 / 3, theory.transformations["T180"]),
+                (1 / 3, theory.transformations["T300"]),
+            ],
+            "k5",
+        )
+        assert channels_equal(k1.channel, k5.channel)
+
+    def test_reflexive(self, theory):
+        t0 = theory.transformations["T0"]
+        assert channels_equal(t0.channel, t0.channel)
+
+    def test_distinct_rotations_differ(self, theory):
+        assert not channels_equal(
+            theory.transformations["T60"].channel, theory.transformations["T120"].channel
+        )
+
+
 class TestMixtures:
     def test_balanced_antipodal_mixture_is_completely_mixed(self, theory):
         mixed = mix_preparations(

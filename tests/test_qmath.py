@@ -26,6 +26,7 @@ from ctxcert.qmath import (
     complex_from_json,
     complex_to_json,
     density_from_bloch,
+    hermitian_spectrum,
     identity,
     matrix_from_json,
     matrix_to_json,
@@ -92,6 +93,22 @@ class TestBornProbability:
 
 
 class TestPositivity:
+    def test_identity_is_psd(self):
+        assert hermitian_spectrum(identity(2), "identity").min() >= 0.0
+        Effect(identity(2))
+        DensityOperator(identity(2) / 2)
+
+    def test_explicit_negative_eigenvalue(self):
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityOperator(np.diag([1.1, -0.1]))
+        with pytest.raises(ValueError, match="outside"):
+            Effect(np.diag([1.0, -0.1]))
+
+    def test_rank_one_projector_is_psd(self, states):
+        eigs = hermitian_spectrum(states["b"].matrix, "projector")
+        assert eigs == pytest.approx([0.0, 1.0], abs=1e-15)
+        Effect(states["b"].matrix)
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator([[0.5, 1], [0, 0.5]])
