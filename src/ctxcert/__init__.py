@@ -25,9 +25,6 @@ from .operational import (
     Transformation,
     coin_flip_povm,
     hexagon_theory,
-    mix_channels,
-    mix_measurements,
-    mix_preparations,
     prep_equivalent,
 )
 from .ontomodel import (

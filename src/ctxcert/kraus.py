@@ -7,10 +7,11 @@ so that representations of different cardinality can be related.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
-from .operational import channel_decompositions, hexagon_theory
+from .operational import MixtureDecl, OperationalTheory, hexagon_theory
 from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
@@ -68,6 +69,27 @@ def remix_kraus(channel: KrausChannel, u: RemixMatrix) -> KrausChannel:
     return KrausChannel(tuple(mixed))
 
 
+def decomposition_channel(theory: OperationalTheory, decl: MixtureDecl) -> KrausChannel:
+    """A declared transformation mixture as one channel: the union of the
+    components' Kraus operators, each scaled by the square root of its weight."""
+    return KrausChannel(tuple(
+        math.sqrt(w) * op
+        for w, label in decl.components
+        for op in theory.transformations[label].channel.kraus_ops
+    ))
+
+
+def decomposition_deviations(theory: OperationalTheory) -> list[tuple[str, float]]:
+    """The Choi deviation of each declared transformation mixture, as a
+    ``decomposition_channel``, from its target, named K1, K2, ... in
+    declaration order."""
+    transf = theory.transformations
+    return [
+        (f"K{k}", choi_deviation(decomposition_channel(theory, d), transf[d.target].channel))
+        for k, d in enumerate((d for d in theory.mixtures if d.kind == "transf"), start=1)
+    ]
+
+
 @dataclass(frozen=True)
 class MixtureIdentityReport:
     """Choi deviations of the five decompositions plus the projection check."""
@@ -110,17 +132,14 @@ def verify_mixture_identities() -> MixtureIdentityReport:
     and its geometric action.
 
     Each transformation mixture declared by ``hexagon_theory`` (K1-K5) is
-    rebuilt with ``mix_channels`` and compared to the channel (defined by its
-    balanced two-element Kraus set) at the Choi level; separately, the
+    built as a ``decomposition_channel`` and compared to the channel (defined
+    by its balanced two-element Kraus set) at the Choi level; separately, the
     channel is checked to send every Bloch vector ``(x, y, z)`` on a ball
     grid to ``(0, y, 0)``.  Raises when any identity fails beyond
     ``IDENTITY_TOL``, which would signal an implementation bug.
     """
     theory = hexagon_theory()
-    identities = [
-        (mixture.label, choi_deviation(mixture.channel, target.channel))
-        for mixture, target in channel_decompositions(theory)
-    ]
+    identities = decomposition_deviations(theory)
     projection = theory.transformations["T"]
 
     worst = 0.0

@@ -28,11 +28,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .kraus import decomposition_deviations
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
     OperationalTheory,
     Preparation,
-    channel_decompositions,
     coin_flip_povm,
     hexagon_state_vectors,
     hexagon_theory,
@@ -50,7 +50,6 @@ from .qmath import (
     as_fraction,
     born_probability,
     channel_action,
-    choi_deviation,
     complex_to_json,
     identity,
     matrix_to_json,
@@ -791,10 +790,7 @@ def transf_nogo() -> Certificate:
     """
     theory = hexagon_theory()
     channels = {label: t.channel for label, t in theory.transformations.items()}
-    checks = [
-        PremiseCheck(mixture.label, choi_deviation(mixture.channel, target.channel))
-        for mixture, target in channel_decompositions(theory)
-    ]
+    checks = [PremiseCheck(name, dev) for name, dev in decomposition_deviations(theory)]
 
     first = next(iter(theory.preparations.values())).rho
     images = OperationalTheory(

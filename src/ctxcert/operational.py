@@ -1,9 +1,10 @@
 """Finite operational theories: labeled procedures and their equivalence classes.
 
 A theory is a finite collection of preparations, transformations and
-measurements together with declared convex-mixture relations.  Mixture
-provenance is recorded in ``context_note`` strings; equivalence of
-procedures is decided by operator equality alone, never by context.
+measurements together with declared convex-mixture relations.  Each mixture
+is a ``MixtureDecl`` with exact weights, checked against its target when the
+theory is built; equivalence of procedures is decided by operator equality
+alone, never by context.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -37,21 +38,18 @@ from .qmath import (
 class Preparation:
     label: str
     rho: DensityOperator
-    context_note: str = ""
 
 
 @dataclass(frozen=True)
 class Measurement:
     label: str
     povm: Povm
-    context_note: str = ""
 
 
 @dataclass(frozen=True)
 class Transformation:
     label: str
     channel: KrausChannel
-    context_note: str = ""
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,9 @@ class MixtureDecl:
         return out
 
 
-def _check_weights(weights: Sequence[float]) -> None:
-    if not all(math.isfinite(w) for w in weights):
-        raise ValueError("mixture weights must be finite")
-    if any(w < 0 for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > VALIDITY_TOL:
-        raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
+def _weighted_sum(decl: MixtureDecl, matrices: Mapping[str, np.ndarray]) -> np.ndarray:
+    """``sum_i float(weight_i) * matrices[component_i]`` over the declaration."""
+    return sum(float(w) * matrices[l] for w, l in decl.components)
 
 
 class OperationalTheory:
@@ -147,36 +141,41 @@ class OperationalTheory:
         if dims and any(d != dims[0] for d in dims):
             raise ValueError("all procedures in a theory must share one dimension")
         self.dim = dims[0] if dims else 0
-        dev = self.max_mixture_deviation()
-        if dev > tol:
-            raise ValueError(f"a declared mixture fails to verify (deviation {dev:.3e})")
+        for position, (decl, dev) in enumerate(zip(self.mixtures, self._mixture_deviations())):
+            if dev > tol:
+                raise ValueError(
+                    f"mixtures[{position}]: {decl.kind} mixture {decl.target!r} fails to "
+                    f"verify (deviation {dev:.3e})"
+                )
+
+    def _mixture_deviations(self) -> list[float]:
+        """Entrywise deviation of each declared mixture from its target, in
+        declaration order: of the density operators, of every effect, or of
+        the Choi matrices."""
+        out = []
+        for decl in self.mixtures:
+            if decl.kind == "prep":
+                rhos = {l: self.preparations[l].rho.matrix for _, l in decl.components}
+                pairs = [(_weighted_sum(decl, rhos), self.preparations[decl.target].rho.matrix)]
+            elif decl.kind == "meas":
+                target = self.measurements[decl.target].povm
+                parts = {l: self.measurements[l].povm for _, l in decl.components}
+                if any(p.outcome_count != target.outcome_count for p in parts.values()):
+                    raise ValueError(f"mixture {decl.target!r} mixes unequal outcome counts")
+                pairs = [
+                    (_weighted_sum(decl, {l: p[k].matrix for l, p in parts.items()}), e.matrix)
+                    for k, e in enumerate(target.effects)
+                ]
+            else:
+                chois = {l: choi_matrix(self.transformations[l].channel) for _, l in decl.components}
+                target = choi_matrix(self.transformations[decl.target].channel)
+                pairs = [(_weighted_sum(decl, chois), target)]
+            out.append(max(float(np.abs(total - t).max()) for total, t in pairs))
+        return out
 
     def max_mixture_deviation(self) -> float:
         """Largest entrywise deviation of any declared mixture from its target."""
-        worst = 0.0
-        for decl in self.mixtures:
-            if decl.kind == "prep":
-                target = self.preparations[decl.target].rho.matrix
-                total = sum(float(w) * self.preparations[l].rho.matrix for w, l in decl.components)
-                worst = max(worst, float(np.abs(total - target).max()))
-            elif decl.kind == "meas":
-                target = self.measurements[decl.target].povm
-                parts = [self.measurements[l].povm for _, l in decl.components]
-                if any(p.outcome_count != target.outcome_count for p in parts):
-                    raise ValueError(f"mixture {decl.target!r} mixes unequal outcome counts")
-                for k in range(target.outcome_count):
-                    total = sum(
-                        float(w) * povm[k].matrix for (w, _), povm in zip(decl.components, parts)
-                    )
-                    worst = max(worst, float(np.abs(total - target[k].matrix).max()))
-            else:
-                target = choi_matrix(self.transformations[decl.target].channel)
-                total = sum(
-                    float(w) * choi_matrix(self.transformations[l].channel)
-                    for w, l in decl.components
-                )
-                worst = max(worst, float(np.abs(total - target).max()))
-        return worst
+        return max(self._mixture_deviations(), default=0.0)
 
     def to_json(self) -> dict:
         return {
@@ -264,62 +263,6 @@ def prep_equivalent(p: Preparation, q: Preparation, tol: float = IDENTITY_TOL) -
 
 
 # ---------------------------------------------------------------------------
-# Context-generating constructions.
-
-
-def _mixture_note(components: Sequence[tuple[float, str]]) -> str:
-    return "mixture: " + " + ".join(f"{w:g}*{label}" for w, label in components)
-
-
-def mix_preparations(components: Sequence[tuple[float, Preparation]], label: str) -> Preparation:
-    """Convex mixture of preparations; component labels are kept as the context."""
-    weights = [w for w, _ in components]
-    _check_weights(weights)
-    dims = {p.rho.dim for _, p in components}
-    if len(dims) != 1:
-        raise ValueError("mixture components act on different dimensions")
-    rho = sum(w * p.rho.matrix for w, p in components)
-    note = _mixture_note([(w, p.label) for w, p in components])
-    return Preparation(label, DensityOperator(rho), note)
-
-
-def mix_measurements(components: Sequence[tuple[float, Measurement]], label: str) -> Measurement:
-    """Element-wise convex mixture of measurements with equal outcome counts."""
-    weights = [w for w, _ in components]
-    _check_weights(weights)
-    counts = {m.povm.outcome_count for _, m in components}
-    if len(counts) != 1:
-        raise ValueError("mixture components have different outcome counts")
-    k = counts.pop()
-    effects = tuple(
-        Effect(sum(w * m.povm[i].matrix for w, m in components)) for i in range(k)
-    )
-    note = _mixture_note([(w, m.label) for w, m in components])
-    return Measurement(label, Povm(effects), note)
-
-
-def mix_channels(components: Sequence[tuple[float, Transformation]], label: str) -> Transformation:
-    """Convex mixture of channels via the union of sqrt(weight)-scaled Kraus sets."""
-    weights = [w for w, _ in components]
-    _check_weights(weights)
-    dims = {(t.channel.dim_in, t.channel.dim_out) for _, t in components}
-    if len(dims) != 1:
-        raise ValueError("mixture components act on different dimensions")
-    ops: list[np.ndarray] = []
-    for w, t in components:
-        scale = math.sqrt(w)
-        ops.extend(scale * op for op in t.channel.kraus_ops)
-    mixed = KrausChannel(tuple(ops))
-    # The Choi matrix is additive over Kraus terms, so this holds to rounding.
-    expected = sum(w * choi_matrix(t.channel) for w, t in components)
-    dev = float(np.abs(choi_matrix(mixed) - expected).max())
-    if dev > 10 * IDENTITY_TOL:
-        raise ArithmeticError(f"mixed channel deviates from the weighted sum by {dev:.3e}")
-    note = _mixture_note([(w, t.label) for w, t in components])
-    return Transformation(label, mixed, note)
-
-
-# ---------------------------------------------------------------------------
 # The canonical hexagon instance: six pure qubit states forming two
 # interleaved trines in the z-x great circle, the five decompositions of the
 # completely mixed state, the three associated PVMs with their uniform
@@ -382,7 +325,7 @@ def hexagon_theory() -> OperationalTheory:
     convex mixtures of them.
     """
     states = hexagon_states()
-    preps = {name: Preparation(name, rho) for name, rho in states.items()}
+    rhos = {name: rho.matrix for name, rho in states.items()}
     half, third = Fraction(1, 2), Fraction(1, 3)
     prep_mixture_decls = [
         MixtureDecl("prep", "aA", ((half, "a"), (half, "A"))),
@@ -391,20 +334,17 @@ def hexagon_theory() -> OperationalTheory:
         MixtureDecl("prep", "abc", ((third, "a"), (third, "b"), (third, "c"))),
         MixtureDecl("prep", "ABC", ((third, "A"), (third, "B"), (third, "C"))),
     ]
-    mixed_preps = [
-        mix_preparations([(float(w), preps[l]) for w, l in d.components], d.target)
+    preps = [Preparation(name, rho) for name, rho in states.items()] + [
+        Preparation(d.target, DensityOperator(_weighted_sum(d, rhos)))
         for d in prep_mixture_decls
     ]
 
-    pvms = {
-        f"M{x}": Measurement(f"M{x}", Povm((Effect(states[x].matrix), Effect(states[x.upper()].matrix))))
-        for x in "abc"
-    }
+    pvms = [Measurement(f"M{x}", Povm((Effect(rhos[x]), Effect(rhos[x.upper()])))) for x in "abc"]
     meas_mixture_decl = MixtureDecl("meas", "M", ((third, "Ma"), (third, "Mb"), (third, "Mc")))
-    mixed_meas = mix_measurements(
-        [(float(w), pvms[l]) for w, l in meas_mixture_decl.components], meas_mixture_decl.target
+    outcomes = [{m.label: m.povm[k].matrix for m in pvms} for k in range(2)]
+    mixed_meas = Measurement(
+        "M", Povm(tuple(Effect(_weighted_sum(meas_mixture_decl, o)) for o in outcomes))
     )
-    coin = Measurement("Mtrivial", coin_flip_povm(), "ignores the system and flips a fair coin")
 
     rotations = rotation_transformations()
     projection = Transformation("T", y_projection_channel())
@@ -417,26 +357,11 @@ def hexagon_theory() -> OperationalTheory:
     ]
 
     return OperationalTheory(
-        preparations=list(preps.values()) + mixed_preps,
+        preparations=preps,
         transformations=list(rotations.values()) + [projection],
-        measurements=list(pvms.values()) + [mixed_meas, coin],
+        measurements=pvms + [mixed_meas, Measurement("Mtrivial", coin_flip_povm())],
         mixtures=prep_mixture_decls + [meas_mixture_decl] + transf_mixture_decls,
     )
-
-
-def channel_decompositions(theory: OperationalTheory) -> list[tuple[Transformation, Transformation]]:
-    """Each declared transformation mixture rebuilt with ``mix_channels``,
-    named K1, K2, ... in declaration order, paired with its target."""
-    decls = [d for d in theory.mixtures if d.kind == "transf"]
-    return [
-        (
-            mix_channels(
-                [(float(w), theory.transformations[l]) for w, l in d.components], f"K{k}"
-            ),
-            theory.transformations[d.target],
-        )
-        for k, d in enumerate(decls, start=1)
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -314,21 +314,23 @@ def complex_from_json(pair) -> complex:
 
 def as_fraction(value) -> Fraction:
     """Exact reading of a coefficient or weight: an int, a ``Fraction``, a
-    rational string such as ``"1/3"``, or a float that a small rational
-    reproduces exactly.  Booleans and other values are refused."""
+    rational string such as ``"1/3"``, or a float that a rational with
+    denominator at most 10**6 reproduces exactly.  Such rationals lie at
+    least 1e-12 apart, much wider than the floats, so a float matches at
+    most one of them.  Booleans and other values are refused."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, str, float)):
         raise TypeError(f"cannot interpret {value!r} as an exact coefficient")
-    try:
-        exact = Fraction(value)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
-    if isinstance(value, float):
-        exact = exact.limit_denominator(10**9)
+    if isinstance(value, float) and np.isfinite(value):
+        exact = Fraction(value).limit_denominator(10**6)
         if float(exact) != value:
             raise ValueError(f"float {value!r} has no small exact rational representation")
-    return exact
+        return exact
+    try:
+        return Fraction(value)
+    except (OverflowError, ValueError, ZeroDivisionError):
+        raise ValueError(f"coefficient {value!r} is not a finite rational") from None
 
 
 def matrix_to_json(m: np.ndarray) -> list:

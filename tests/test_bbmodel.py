@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,9 @@ from ctxcert.bbmodel import (
 )
 from ctxcert.ontomodel import IndicatorSet, is_outcome_deterministic
 from ctxcert.operational import (
-    Preparation,
+    MixtureDecl,
     hexagon_state_vectors,
-    hexagon_states,
     hexagon_theory,
-    mix_preparations,
 )
 from ctxcert.qmath import Effect, Povm, born_probability, identity, pure_density
 
@@ -55,12 +54,11 @@ class TestPureOnticState:
 
 class TestMixtureWeights:
     def test_one_rule_refuses_a_slightly_negative_weight(self, vectors):
-        weights = (-1e-12, 1 + 1e-12)
-        prep = Preparation("a", hexagon_states()["a"])
+        eps = Fraction(1, 10**12)
         with pytest.raises(ValueError, match="nonnegative"):
-            mix_preparations([(w, prep) for w in weights], "m")
+            MixtureDecl("prep", "m", ((-eps, "a"), (1 + eps, "a")))
         with pytest.raises(ValueError, match="nonnegative"):
-            BBPreparation(tuple((w, PureOnticState(vectors["a"])) for w in weights))
+            BBPreparation(tuple((float(w), PureOnticState(vectors["a"])) for w in (-eps, 1 + eps)))
 
 
 class TestIndicator:

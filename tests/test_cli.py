@@ -13,10 +13,9 @@ from ctxcert.operational import (
     Preparation,
     hexagon_states,
     hexagon_theory,
-    mix_preparations,
     render_bloch_disk_svg,
 )
-from ctxcert.qmath import matrix_to_json
+from ctxcert.qmath import DensityOperator, matrix_to_json
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -187,7 +186,8 @@ class TestFeasibilityCommand:
         preps = {name: Preparation(name, hexagon[name]) for name in states}
         decls = []
         for target, components in mixtures:
-            preps[target] = mix_preparations([(w, preps[l]) for w, l in components], target)
+            rho = sum(w * preps[l].rho.matrix for w, l in components)
+            preps[target] = Preparation(target, DensityOperator(rho))
             decls.append(MixtureDecl("prep", target, components))
         path = tmp_path / "theory.json"
         path.write_text(json.dumps(OperationalTheory(preps.values(), mixtures=decls).to_json()))
@@ -224,8 +224,10 @@ class TestFeasibilityCommand:
         doc = json.loads(path.read_text())
         doc["mixtures"][0]["components"][1]["label"] = "b"
         path.write_text(json.dumps(doc))
-        code, _, _ = _run(capsys, "feasibility", str(path), *tol)
+        code, _, stderr = _run(capsys, "feasibility", str(path), *tol)
         assert code == 2
+        named = "--tol must be positive" if tol else "mixtures[0]: prep mixture 'aA' fails"
+        assert named in stderr
 
     def test_weight_without_an_exact_rational_exits_two(self, capsys, tmp_path):
         w = 0.123456789012
@@ -262,7 +264,9 @@ class TestFeasibilityCommand:
     def test_meas_weights_summing_to_one_only_within_tolerance_exit_two(self, capsys, theory_file):
         doc = json.loads(theory_file.read_text())
         meas = next(d for d in doc["mixtures"] if d["kind"] == "meas")
-        meas["components"][2]["weight"] = 0.333333334  # the sum is off by 6.7e-10
+        # The sum is off by 6.7e-10.  A string, since a float that misses 1/3 by less than
+        # 1e-9 is refused as inexact: other rationals with denominator <= 10**6 lie 3e-7 away.
+        meas["components"][2]["weight"] = "333333334/1000000000"
         theory_file.write_text(json.dumps(doc))
         code, _, stderr = _run(capsys, "feasibility", str(theory_file))
         assert code == 2

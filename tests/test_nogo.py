@@ -44,10 +44,9 @@ from ctxcert.operational import (
     hexagon_state_vectors,
     hexagon_states,
     hexagon_theory,
-    mix_preparations,
     render_bloch_disk_svg,
 )
-from ctxcert.qmath import Effect, Povm, identity
+from ctxcert.qmath import DensityOperator, Effect, Povm, identity
 
 from feasibility_oracle import _rank, brute_force_feasible, pair_free_extreme_rays, random_system
 
@@ -91,7 +90,7 @@ def _coin_flip_theory(pvms, components) -> OperationalTheory:
     measurement ``M`` equal to it, declared as the mixture ``components``."""
     states = hexagon_states()
     preps = [Preparation(label, states[label]) for label in ("a", "A")]
-    preps.append(mix_preparations([(0.5, p) for p in preps], "aA"))
+    preps.append(Preparation("aA", DensityOperator(identity(2) / 2)))
     coin = Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
     measurements = [
         Measurement(label, Povm(tuple(Effect(states[s].matrix) for s in outcomes)))
@@ -776,6 +775,19 @@ class TestValidateOnce:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         build()
         assert len(calls) <= most
+
+    @pytest.mark.parametrize("build", [transf_nogo, verify_mixture_identities])
+    def test_each_decomposition_is_checked_once_per_theory(self, monkeypatch, build):
+        """The theory checks K1-K5 by weighted Choi sums (17 matrices), and
+        the premises compare each Kraus union to the target once (10 more)."""
+        from ctxcert import operational, qmath
+
+        calls, choi_matrix = [], qmath.choi_matrix
+        counted = lambda channel: calls.append(channel) or choi_matrix(channel)
+        monkeypatch.setattr(qmath, "choi_matrix", counted)
+        monkeypatch.setattr(operational, "choi_matrix", counted)
+        build()
+        assert len(calls) <= 27
 
 
 class TestDeferredScipy:

@@ -1,21 +1,25 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ctxcert.kraus import decomposition_channel
 from ctxcert.operational import (
     Measurement,
     MixtureDecl,
     OperationalTheory,
+    Preparation,
+    Transformation,
+    coin_flip_povm,
     hexagon_theory,
-    mix_channels,
-    mix_measurements,
-    mix_preparations,
     prep_equivalent,
+    rotation_transformations,
     y_projection_channel,
 )
 from ctxcert.qmath import (
+    DensityOperator,
     Effect,
     Povm,
     bloch_from_density,
@@ -57,18 +61,9 @@ class TestPrepEquivalence:
 
 class TestTransfEquivalence:
     def test_two_declared_decompositions_agree(self, theory):
-        k1 = mix_channels(
-            [(0.5, theory.transformations["T0"]), (0.5, theory.transformations["T180"])], "k1"
-        )
-        k5 = mix_channels(
-            [
-                (1 / 3, theory.transformations["T60"]),
-                (1 / 3, theory.transformations["T180"]),
-                (1 / 3, theory.transformations["T300"]),
-            ],
-            "k5",
-        )
-        assert channels_equal(k1.channel, k5.channel)
+        transf = [d for d in theory.mixtures if d.kind == "transf"]
+        k1, k5 = (decomposition_channel(theory, transf[k]) for k in (0, 4))
+        assert channels_equal(k1, k5)
 
     def test_reflexive(self, theory):
         t0 = theory.transformations["T0"]
@@ -80,55 +75,56 @@ class TestTransfEquivalence:
         )
 
 
+def _declared(kind, procedures, components, target):
+    """Deviation of ``target`` from the mixture ``components`` of
+    ``procedures``, declared in a theory that accepts any deviation."""
+    field = {"prep": "preparations", "meas": "measurements", "transf": "transformations"}[kind]
+    theory = OperationalTheory(
+        **{field: [*procedures, target]},
+        mixtures=[MixtureDecl(kind, target.label, components)],
+        tol=math.inf,
+    )
+    return theory.max_mixture_deviation()
+
+
 class TestMixtures:
+    """Every mixture is a declaration that the theory checks against its target."""
+
+    HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
+
     def test_balanced_antipodal_mixture_is_completely_mixed(self, theory):
-        mixed = mix_preparations(
-            [(0.5, theory.preparations["a"]), (0.5, theory.preparations["A"])], "m"
-        )
-        assert np.abs(mixed.rho.matrix - identity(2) / 2).max() < 1e-15
+        pair = [theory.preparations[l] for l in ("a", "A")]
+        center = Preparation("m", DensityOperator(identity(2) / 2))
+        assert _declared("prep", pair, ((self.HALF, "a"), (self.HALF, "A")), center) < 1e-15
 
     def test_balanced_trine_mixture_is_completely_mixed(self, theory):
-        mixed = mix_preparations(
-            [(1 / 3, theory.preparations[l]) for l in ("a", "b", "c")], "m"
-        )
-        assert np.abs(mixed.rho.matrix - identity(2) / 2).max() < 1e-15
+        trine = [theory.preparations[l] for l in ("a", "b", "c")]
+        center = Preparation("m", DensityOperator(identity(2) / 2))
+        components = tuple((self.THIRD, l) for l in ("a", "b", "c"))
+        assert _declared("prep", trine, components, center) < 1e-15
 
     def test_singleton_mixture_is_identity_operation(self, theory):
-        mixed = mix_preparations([(1.0, theory.preparations["b"])], "m")
-        assert np.abs(mixed.rho.matrix - theory.preparations["b"].rho.matrix).max() == 0.0
+        copy = Preparation("m", theory.preparations["b"].rho)
+        assert _declared("prep", [theory.preparations["b"]], ((1, "b"),), copy) == 0.0
 
     def test_component_labels_recorded_as_context(self, theory):
-        mixed = mix_preparations(
-            [(0.5, theory.preparations["a"]), (0.5, theory.preparations["A"])], "m"
-        )
-        assert "a" in mixed.context_note and "A" in mixed.context_note
+        (decl,) = (d for d in theory.mixtures if d.target == "aA")
+        assert decl.components == ((self.HALF, "a"), (self.HALF, "A"))
 
-    def test_bad_weights_rejected(self, theory):
-        with pytest.raises(ValueError):
-            mix_preparations(
-                [(0.7, theory.preparations["a"]), (0.7, theory.preparations["A"])], "m"
-            )
-        with pytest.raises(ValueError):
-            mix_preparations(
-                [(-0.5, theory.preparations["a"]), (1.5, theory.preparations["A"])], "m"
-            )
+    def test_bad_weights_rejected(self):
+        for components in (((0.7, "a"), (0.7, "A")), ((0.5, "a"), (0.5000000001, "A"))):
+            with pytest.raises(ValueError, match="no small exact rational representation"):
+                MixtureDecl("prep", "m", components)
 
     def test_uniform_pvm_mixture_gives_coin_povm(self, theory):
-        mixed = mix_measurements(
-            [(1 / 3, theory.measurements[l]) for l in ("Ma", "Mb", "Mc")], "m"
-        )
-        for effect in mixed.povm.effects:
-            assert np.abs(effect.matrix - identity(2) / 2).max() < 1e-15
+        pvms = [theory.measurements[l] for l in ("Ma", "Mb", "Mc")]
+        components = tuple((self.THIRD, m.label) for m in pvms)
+        coin = Measurement("m", coin_flip_povm())
+        assert _declared("meas", pvms, components, coin) < 1e-15
 
     def test_singleton_measurement_mixture_is_identity_operation(self, theory):
-        single = mix_measurements([(1.0, theory.measurements["Ma"])], "m")
-        for k in range(2):
-            assert (
-                np.abs(
-                    single.povm[k].matrix - theory.measurements["Ma"].povm[k].matrix
-                ).max()
-                == 0.0
-            )
+        copy = Measurement("m", theory.measurements["Ma"].povm)
+        assert _declared("meas", [theory.measurements["Ma"]], ((1, "Ma"),), copy) == 0.0
 
     def test_extremal_binary_povms_mix_to_coin(self):
         all_or_nothing = Measurement(
@@ -137,33 +133,41 @@ class TestMixtures:
         nothing_or_all = Measurement(
             "second", Povm((Effect(np.zeros((2, 2))), Effect(identity(2))))
         )
-        mixed = mix_measurements([(0.5, all_or_nothing), (0.5, nothing_or_all)], "m")
-        for effect in mixed.povm.effects:
-            assert np.abs(effect.matrix - identity(2) / 2).max() == 0.0
+        components = ((self.HALF, "first"), (self.HALF, "second"))
+        coin = Measurement("m", coin_flip_povm())
+        assert _declared("meas", [all_or_nothing, nothing_or_all], components, coin) == 0.0
 
     def test_outcome_count_mismatch_rejected(self, theory):
         single = Measurement("unit", Povm((Effect(identity(2)),)))
-        with pytest.raises(ValueError):
-            mix_measurements([(0.5, theory.measurements["Ma"]), (0.5, single)], "m")
+        components = ((self.HALF, "Ma"), (self.HALF, "unit"))
+        with pytest.raises(ValueError, match="unequal outcome counts"):
+            _declared(
+                "meas", [theory.measurements["Ma"], single], components,
+                Measurement("m", coin_flip_povm()),
+            )
 
     def test_channel_mixtures_reproduce_projection(self, theory):
-        k1 = mix_channels(
-            [(0.5, theory.transformations["T0"]), (0.5, theory.transformations["T180"])], "m"
-        )
-        assert channels_equal(k1.channel, y_projection_channel())
-        k5 = mix_channels(
-            [
-                (1 / 3, theory.transformations["T60"]),
-                (1 / 3, theory.transformations["T180"]),
-                (1 / 3, theory.transformations["T300"]),
-            ],
-            "m",
-        )
-        assert channels_equal(k5.channel, y_projection_channel())
+        rotations = list(rotation_transformations().values())
+        projection = Transformation("m", y_projection_channel())
+        k1 = ((self.HALF, "T0"), (self.HALF, "T180"))
+        k5 = ((self.THIRD, "T60"), (self.THIRD, "T180"), (self.THIRD, "T300"))
+        for components in (k1, k5):
+            assert _declared("transf", rotations, components, projection) <= 1e-15
 
     def test_singleton_channel_mixture(self, theory):
-        single = mix_channels([(1.0, theory.transformations["T0"])], "m")
-        assert channels_equal(single.channel, theory.transformations["T0"].channel)
+        copy = Transformation("m", theory.transformations["T0"].channel)
+        assert _declared("transf", [theory.transformations["T0"]], ((1, "T0"),), copy) == 0.0
+
+    def test_false_channel_mixture_is_refused_by_position(self, theory):
+        mixtures = list(theory.mixtures)
+        mixtures.insert(8, MixtureDecl("transf", "T", ((self.HALF, "T0"), (self.HALF, "T120"))))
+        with pytest.raises(ValueError, match=r"mixtures\[8\]: transf mixture 'T' fails to verify"):
+            OperationalTheory(
+                theory.preparations.values(),
+                theory.transformations.values(),
+                theory.measurements.values(),
+                mixtures,
+            )
 
 
 class TestHexagonTheory:

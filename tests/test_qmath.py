@@ -6,18 +6,14 @@ import pytest
 from ctxcert.bbmodel import BBPreparation, PureOnticState
 from ctxcert.kraus import RemixMatrix
 from ctxcert.ontomodel import Distribution, IndicatorSet, TransitionMatrix
-from ctxcert.operational import (
-    Preparation,
-    hexagon_states,
-    mix_preparations,
-    y_projection_channel,
-)
+from ctxcert.operational import MixtureDecl, hexagon_states, y_projection_channel
 from ctxcert.qmath import (
     DensityOperator,
     Effect,
     KrausChannel,
     Povm,
     apply_channel,
+    as_fraction,
     bloch_from_density,
     born_probability,
     channel_action,
@@ -30,7 +26,6 @@ from ctxcert.qmath import (
     identity,
     matrix_from_json,
     matrix_to_json,
-    pure_density,
     real_from_json,
     unitary_channel,
     unitary_rotation_y,
@@ -301,7 +296,7 @@ class TestValidation:
             lambda x: RemixMatrix([[x]]),
             lambda x: PureOnticState([x, 0]),
             lambda x: BBPreparation(((x, PureOnticState([1, 0])),)),
-            lambda x: mix_preparations([(x, Preparation("a", pure_density([1, 0])))], "m"),
+            lambda x: MixtureDecl("prep", "m", ((x, "a"),)),
         ],
         ids=[
             "DensityOperator", "Effect", "Povm", "KrausChannel", "Distribution",
@@ -325,3 +320,13 @@ class TestJson:
     def test_only_representable_numbers_are_read(self, value):
         with pytest.raises((TypeError, ValueError)):
             real_from_json(value)
+
+    @pytest.mark.parametrize("value", [1 / 3, 0.1, 1 / 7, 0.123456, 1 / 999983])
+    def test_a_float_with_a_small_denominator_is_read_exactly(self, value):
+        exact = as_fraction(value)
+        assert exact.denominator <= 10**6 and float(exact) == value
+
+    @pytest.mark.parametrize("value", [0.123456789012, 0.1234567])
+    def test_a_float_that_needs_a_large_denominator_is_refused(self, value):
+        with pytest.raises(ValueError, match="no small exact rational representation"):
+            as_fraction(value)
