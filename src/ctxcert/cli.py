@@ -166,7 +166,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
             system = nogo.ConstraintSystem.from_json(doc)
         elif isinstance(doc, dict) and "preparations" in doc:
             theory = OperationalTheory.from_json(doc, tol=args.tol)
-            system = nogo.system_from_theory(theory, tol=args.tol)
+            system = nogo.system_from_theory(theory)
         else:
             raise InputError("instance is neither a constraint system nor a theory")
         cert = nogo.pointwise_feasibility(system)

@@ -555,10 +555,11 @@ def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> 
 # From an operational theory to its constraint system.
 
 
-def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> ConstraintSystem:
+def system_from_theory(theory: OperationalTheory) -> ConstraintSystem:
     """Derive the pointwise system a noncontextual model of the theory must
     solve: one variable per non-target preparation, disjointness from
     orthogonality, one equality form per declared preparation mixture.
+    Equivalence and orthogonality are decided within ``theory.tol``.
 
     Serves ``prep_nogo`` and ``feasibility`` with a theory as given, and
     ``transf_nogo`` with the theory of its channels' images of one state.
@@ -570,7 +571,7 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
     decls = [d for d in theory.mixtures if d.kind == "prep"]
     targets = {d.target for d in decls}
     target_preps = [theory.preparations[t] for t in sorted(targets)]
-    if not all(prep_equivalent(target_preps[0], p, tol=tol) for p in target_preps[1:]):
+    if not all(prep_equivalent(target_preps[0], p, tol=theory.tol) for p in target_preps[1:]):
         raise ValueError(
             "mixture targets fall into more than one equivalence class; "
             "this system type has a single family of mutually equal forms"
@@ -584,7 +585,7 @@ def system_from_theory(theory: OperationalTheory, tol: float = VALIDITY_TOL) -> 
         (u, v)
         for i, u in enumerate(variables)
         for v in variables[i + 1 :]
-        if float(np.abs(rho[u] @ rho[v]).max()) <= tol
+        if float(np.abs(rho[u] @ rho[v]).max()) <= theory.tol
     ]
     return ConstraintSystem(variables, pairs, [d.weights() for d in decls])
 

@@ -175,17 +175,17 @@ def support(mu: Distribution, tol: float = VALIDITY_TOL) -> frozenset[int]:
     return frozenset(int(i) for i in np.flatnonzero(mu.weights > tol))
 
 
-def disjoint(mu: Distribution, nu: Distribution, tol: float = VALIDITY_TOL) -> bool:
+def disjoint(mu: Distribution, nu: Distribution) -> bool:
     """True iff the pointwise product vanishes everywhere (disjoint supports)."""
     if mu.size != nu.size:
         raise ValueError("distributions live on different spaces")
-    return bool((mu.weights * nu.weights).max() <= tol)
+    return bool((mu.weights * nu.weights).max() <= VALIDITY_TOL)
 
 
-def is_outcome_deterministic(xi: IndicatorSet, tol: float = VALIDITY_TOL) -> bool:
-    """True iff every indicator value is within ``tol`` of 0 or 1 (idempotent)."""
+def is_outcome_deterministic(xi: IndicatorSet) -> bool:
+    """True iff every indicator value is within ``VALIDITY_TOL`` of 0 or 1 (idempotent)."""
     v = xi.values
-    return bool(np.minimum(np.abs(v), np.abs(v - 1.0)).max() <= tol)
+    return bool(np.minimum(np.abs(v), np.abs(v - 1.0)).max() <= VALIDITY_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,12 @@ def _weighted_sum(decl: MixtureDecl, matrices: Mapping[str, np.ndarray]) -> np.n
 
 
 class OperationalTheory:
-    """A named finite collection of procedures with verified mixture relations."""
+    """A named finite collection of procedures with verified mixture relations.
+
+    ``deviations[i]`` is the deviation of ``mixtures[i]`` from its target,
+    measured once, here; ``tol`` bounds each and is also the tolerance of
+    ``nogo.system_from_theory``.  It may be infinite, but not NaN or negative.
+    """
 
     def __init__(
         self,
@@ -105,6 +110,9 @@ class OperationalTheory:
         mixtures: Iterable[MixtureDecl] = (),
         tol: float = VALIDITY_TOL,
     ) -> None:
+        if not tol >= 0:
+            raise ValueError(f"tol must be nonnegative and not NaN, got {tol}")
+        self.tol = tol
         self.preparations: dict[str, Preparation] = {}
         self.transformations: dict[str, Transformation] = {}
         self.measurements: dict[str, Measurement] = {}
@@ -141,19 +149,11 @@ class OperationalTheory:
         if dims and any(d != dims[0] for d in dims):
             raise ValueError("all procedures in a theory must share one dimension")
         self.dim = dims[0] if dims else 0
-        for position, (decl, dev) in enumerate(zip(self.mixtures, self._mixture_deviations())):
-            if dev > tol:
-                raise ValueError(
-                    f"mixtures[{position}]: {decl.kind} mixture {decl.target!r} fails to "
-                    f"verify (deviation {dev:.3e})"
-                )
-
-    def _mixture_deviations(self) -> list[float]:
-        """Entrywise deviation of each declared mixture from its target, in
-        declaration order: of the density operators, of every effect, or of
-        the Choi matrices."""
-        out = []
-        for decl in self.mixtures:
+        deviations = []
+        chois: dict[str, np.ndarray] = {}
+        for position, decl in enumerate(self.mixtures):
+            # Entrywise deviation of the density operators, of every effect, or of
+            # the Choi matrices, a channel mixture being its Kraus union scaled by sqrt(w).
             if decl.kind == "prep":
                 rhos = {l: self.preparations[l].rho.matrix for _, l in decl.components}
                 pairs = [(_weighted_sum(decl, rhos), self.preparations[decl.target].rho.matrix)]
@@ -167,15 +167,22 @@ class OperationalTheory:
                     for k, e in enumerate(target.effects)
                 ]
             else:
-                chois = {l: choi_matrix(self.transformations[l].channel) for _, l in decl.components}
-                target = choi_matrix(self.transformations[decl.target].channel)
-                pairs = [(_weighted_sum(decl, chois), target)]
-            out.append(max(float(np.abs(total - t).max()) for total, t in pairs))
-        return out
-
-    def max_mixture_deviation(self) -> float:
-        """Largest entrywise deviation of any declared mixture from its target."""
-        return max(self._mixture_deviations(), default=0.0)
+                union = KrausChannel(tuple(
+                    math.sqrt(w) * op
+                    for w, l in decl.components
+                    for op in self.transformations[l].channel.kraus_ops
+                ))
+                if decl.target not in chois:
+                    chois[decl.target] = choi_matrix(self.transformations[decl.target].channel)
+                pairs = [(choi_matrix(union), chois[decl.target])]
+            dev = max(float(np.abs(total - t).max()) for total, t in pairs)
+            if dev > tol:
+                raise ValueError(
+                    f"mixtures[{position}]: {decl.kind} mixture {decl.target!r} fails to "
+                    f"verify (deviation {dev:.3e})"
+                )
+            deviations.append(dev)
+        self.deviations: tuple[float, ...] = tuple(deviations)
 
     def to_json(self) -> dict:
         return {

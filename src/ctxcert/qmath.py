@@ -53,10 +53,10 @@ def as_cmatrix(entries, dim: int | None = None) -> np.ndarray:
     return m
 
 
-def hermitian_spectrum(m: np.ndarray, what: str, tol: float = VALIDITY_TOL) -> np.ndarray:
+def hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
     """Eigenvalues of the Hermitian part of ``m``; raises ``ValueError`` (naming
-    ``what``) unless ``m`` equals its conjugate transpose entrywise within ``tol``."""
-    if np.abs(m - m.conj().T).max() > tol:
+    ``what``) unless ``m`` is Hermitian entrywise within ``VALIDITY_TOL``."""
+    if np.abs(m - m.conj().T).max() > VALIDITY_TOL:
         raise ValueError(f"{what} must be Hermitian")
     return np.linalg.eigvalsh((m + m.conj().T) / 2)
 

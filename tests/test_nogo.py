@@ -778,8 +778,8 @@ class TestValidateOnce:
 
     @pytest.mark.parametrize("build", [transf_nogo, verify_mixture_identities])
     def test_each_decomposition_is_checked_once_per_theory(self, monkeypatch, build):
-        """The theory checks K1-K5 by weighted Choi sums (17 matrices), and
-        the premises compare each Kraus union to the target once (10 more)."""
+        """The theory builds the Choi matrix of each of the five Kraus unions
+        and of their target T once (6 matrices); the premises read them."""
         from ctxcert import operational, qmath
 
         calls, choi_matrix = [], qmath.choi_matrix
@@ -787,7 +787,7 @@ class TestValidateOnce:
         monkeypatch.setattr(qmath, "choi_matrix", counted)
         monkeypatch.setattr(operational, "choi_matrix", counted)
         build()
-        assert len(calls) <= 27
+        assert len(calls) <= 6
 
 
 class TestDeferredScipy:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ctxcert.kraus import decomposition_channel
 from ctxcert.operational import (
     Measurement,
     MixtureDecl,
@@ -61,9 +60,14 @@ class TestPrepEquivalence:
 
 class TestTransfEquivalence:
     def test_two_declared_decompositions_agree(self, theory):
-        transf = [d for d in theory.mixtures if d.kind == "transf"]
-        k1, k5 = (decomposition_channel(theory, transf[k]) for k in (0, 4))
-        assert channels_equal(k1, k5)
+        """K1 and K5 each reproduce T, so their Choi matrices are within the
+        sum of their deviations of each other."""
+        transf = [
+            (d, dev) for d, dev in zip(theory.mixtures, theory.deviations) if d.kind == "transf"
+        ]
+        (k1, dev1), (k5, dev5) = transf[0], transf[4]
+        assert k1.target == k5.target == "T"
+        assert dev1 + dev5 <= 1e-12
 
     def test_reflexive(self, theory):
         t0 = theory.transformations["T0"]
@@ -84,7 +88,8 @@ def _declared(kind, procedures, components, target):
         mixtures=[MixtureDecl(kind, target.label, components)],
         tol=math.inf,
     )
-    return theory.max_mixture_deviation()
+    (deviation,) = theory.deviations
+    return deviation
 
 
 class TestMixtures:
@@ -172,7 +177,8 @@ class TestMixtures:
 
 class TestHexagonTheory:
     def test_every_declared_mixture_verifies_tightly(self, theory):
-        assert theory.max_mixture_deviation() <= 1e-12
+        assert len(theory.deviations) == len(theory.mixtures)
+        assert max(theory.deviations) <= 1e-12
 
     def test_first_state_upper_left_entry(self, theory):
         assert theory.preparations["a"].rho.matrix[0, 0] == 1.0
@@ -203,6 +209,19 @@ class TestHexagonTheory:
                 preparations=[theory.preparations["a"], theory.preparations["b"]],
                 mixtures=[MixtureDecl("prep", "a", ((1.0, "b"),))],
             )
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_nan_or_negative_tolerance_is_refused(self, theory, tol):
+        """aA = a/2 + b/2 deviates by 0.217; a NaN tolerance must not accept it."""
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="tol must be nonnegative and not NaN"):
+            OperationalTheory(
+                [theory.preparations[l] for l in ("a", "b", "aA")],
+                mixtures=[MixtureDecl("prep", "aA", ((half, "a"), (half, "b")))],
+                tol=tol,
+            )
+        with pytest.raises(ValueError, match="tol must be nonnegative and not NaN"):
+            OperationalTheory.from_json(theory.to_json(), tol=tol)
 
     def test_json_roundtrip_preserves_everything(self, theory):
         doc = theory.to_json()
