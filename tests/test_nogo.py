@@ -183,6 +183,20 @@ class TestConstraintSystem:
         system = _prep_system()
         assert ConstraintSystem.from_json(system.to_json()).to_json() == system.to_json()
 
+    @pytest.mark.parametrize("tol, pairs", [(1e-9, ()), (1e-2, (("a", "near"),))])
+    def test_orthogonality_is_decided_at_the_theory_tolerance(self, tol, pairs):
+        """States 1e-3 rad away from orthogonal are a disjoint pair only at a
+        theory tolerance above their overlap."""
+        a, near = (np.array(v) for v in ([1.0, 0.0], [math.sin(1e-3), math.cos(1e-3)]))
+        rhos = [np.outer(v, v) for v in (a, near)]
+        theory = OperationalTheory(
+            [Preparation(l, DensityOperator(r)) for l, r in zip(("a", "near"), rhos)]
+            + [Preparation("m", DensityOperator((rhos[0] + rhos[1]) / 2))],
+            mixtures=[MixtureDecl("prep", "m", (("1/2", "a"), ("1/2", "near")))],
+            tol=tol,
+        )
+        assert system_from_theory(theory).disjoint_pairs == pairs
+
 
 class TestPointwiseFeasibility:
     def test_single_pair_with_balanced_form_has_two_point_witness(self):
