@@ -20,6 +20,7 @@ from ctxcert.bbmodel import (
     BBPreparation,
     PureOnticState,
     bb_meas_noncontextuality_property,
+    bb_prep_contextuality_demo,
     bb_simulate,
 )
 from ctxcert.kraus import verify_mixture_identities
@@ -764,6 +765,10 @@ class TestGoldenCertificates:
         "bb-meas-nc": (
             lambda: bb_meas_noncontextuality_property(20, 7),
             "fd27165b8363fa7ebc38cc2de802a6d70079f5374df00f33e0f6ec9a214480a7",
+        ),
+        "bb-prep-demo": (
+            bb_prep_contextuality_demo,
+            "a1310b371eb4c664854a1a7053a2adb02f8a2c203380cea8469132b5e480052f",
         ),
     }
 
