@@ -18,11 +18,8 @@ from .qmath import (
     unitary_rotation_y,
 )
 from .operational import (
-    Measurement,
     MixtureDecl,
     OperationalTheory,
-    Preparation,
-    Transformation,
     coin_flip_povm,
     hexagon_theory,
     prep_equivalent,

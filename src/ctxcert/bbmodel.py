@@ -15,11 +15,11 @@ use inverse-CDF lookups in outcome order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operational import Preparation, hexagon_state_vectors, prep_equivalent
+from .operational import hexagon_state_vectors, prep_equivalent
 from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
@@ -53,10 +53,12 @@ class PureOnticState:
 
     The vector is normalized and rotated so its first non-vanishing
     component is real and positive, which makes "same ray" decidable by
-    plain vector comparison.
+    plain vector comparison.  ``rho`` is the ray's density operator, built
+    and validated once, here.
     """
 
     psi: np.ndarray
+    rho: DensityOperator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v = frozen_array(self.psi).reshape(-1)
@@ -70,12 +72,10 @@ class PureOnticState:
         v = v * (leading.conjugate() / abs(leading))
         v = v + (0.0 + 0.0j)  # collapse negative zeros
         object.__setattr__(self, "psi", frozen_array(v))
+        object.__setattr__(self, "rho", pure_density(self.psi))
 
     def same_ray(self, other: "PureOnticState") -> bool:
         return bool(np.abs(self.psi - other.psi).max() <= RAY_TOL)
-
-    def density(self) -> DensityOperator:
-        return pure_density(self.psi)
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class BBPreparation:
         object.__setattr__(self, "mixture", entries)
 
     def density(self) -> DensityOperator:
-        total = sum(w * s.density().matrix for w, s in self.mixture)
+        total = sum(w * s.rho.matrix for w, s in self.mixture)
         return DensityOperator(total)
 
     def to_json(self) -> list:
@@ -115,8 +115,7 @@ def bb_indicator(povm: Povm, psi: PureOnticState) -> np.ndarray:
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
-    rho = psi.density()
-    return np.array([born_probability(rho, e) for e in povm.effects])
+    return np.array([born_probability(psi.rho, e) for e in povm.effects])
 
 
 def bb_sample(prep: BBPreparation, n: int, seed: int) -> np.ndarray:
@@ -247,9 +246,7 @@ def bb_prep_contextuality_demo() -> PrepContextualityReport:
     second = BBPreparation(
         ((0.5, PureOnticState(vectors["b"])), (0.5, PureOnticState(vectors["B"])))
     )
-    equivalent = prep_equivalent(
-        Preparation("first", first.density()), Preparation("second", second.density())
-    )
+    equivalent = prep_equivalent(first.density(), second.density())
 
     rays: list[PureOnticState] = []
     for _, s in first.mixture + second.mixture:

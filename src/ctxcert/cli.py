@@ -219,11 +219,11 @@ def _parse_povm_spec(spec: str) -> Povm:
         return Povm(tuple(Effect(matrix_from_json(m)) for m in effects))
     measurements = hexagon_theory().measurements
     if spec in ("a", "b", "c"):
-        return measurements["M" + spec].povm
+        return measurements["M" + spec]
     if spec in ("trivial", "mixed"):
         # The uniform mixture of the three antipodal PVMs equals the
         # coin-flip POVM, so both names yield {I/2, I/2}.
-        return measurements["Mtrivial"].povm
+        return measurements["Mtrivial"]
     raise InputError(f"unknown POVM {spec!r}; choose a/b/c/mixed/trivial or @file")
 
 

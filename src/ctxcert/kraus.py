@@ -133,7 +133,7 @@ def verify_mixture_identities() -> MixtureIdentityReport:
 
     worst = 0.0
     for r in _bloch_grid():
-        rho_out = apply_channel(projection.channel, density_from_bloch(r))
+        rho_out = apply_channel(projection, density_from_bloch(r))
         expected = np.array([0.0, r[1], 0.0])
         worst = max(worst, float(np.abs(bloch_from_density(rho_out) - expected).max()))
 

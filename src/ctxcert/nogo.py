@@ -32,7 +32,6 @@ from .kraus import decomposition_deviations
 from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
 from .operational import (
     OperationalTheory,
-    Preparation,
     coin_flip_povm,
     hexagon_state_vectors,
     hexagon_theory,
@@ -104,9 +103,12 @@ class ConstraintSystem:
         pairs = []
         seen_pairs = set()
         for pair in disjoint_pairs:
-            if isinstance(pair, str):
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                u = v = None
+            if isinstance(pair, str) or not (isinstance(u, str) and isinstance(v, str)):
                 raise TypeError(f"a disjointness pair must be a list of two names, got {pair!r}")
-            u, v = pair
             if u == v:
                 raise ValueError(f"a disjointness pair needs two distinct variables, got {u!r}")
             if u not in declared or v not in declared:
@@ -580,7 +582,7 @@ def system_from_theory(theory: OperationalTheory) -> ConstraintSystem:
     if nested:
         raise ValueError(f"mixture component {nested[0]!r} is itself a mixture target; unsupported")
     variables = [label for label in theory.preparations if label not in targets]
-    rho = {label: theory.preparations[label].rho.matrix for label in variables}
+    rho = {label: theory.preparations[label].matrix for label in variables}
     pairs = [
         (u, v)
         for i, u in enumerate(variables)
@@ -631,7 +633,7 @@ def prep_nogo() -> Certificate:
     """
     theory = hexagon_theory()
     system = system_from_theory(theory)
-    rho = {label: p.rho.matrix for label, p in theory.preparations.items()}
+    rho = {label: p.matrix for label, p in theory.preparations.items()}
     center = identity(theory.dim) / theory.dim
     targets = {d.target for d in theory.mixtures if d.kind == "prep"}
     orthogonality = max(float(np.abs(rho[u] @ rho[v]).max()) for u, v in system.disjoint_pairs)
@@ -706,8 +708,8 @@ def meas_nogo() -> Certificate:
     the values that noncontextuality forces for the coin flip.
     """
     theory = hexagon_theory()
-    coin = theory.measurements["Mtrivial"].povm
-    mixed = theory.measurements["M"].povm
+    coin = theory.measurements["Mtrivial"]
+    mixed = theory.measurements["M"]
     povm_dev = max(float(np.abs(mixed[k].matrix - coin[k].matrix).max()) for k in range(2))
     forced = trivial_povm_forced_indicator()
     checks = (
@@ -718,10 +720,10 @@ def meas_nogo() -> Certificate:
 
     decl = next(d for d in theory.mixtures if d.kind == "meas" and d.target == "M")
     weights = decl.weights()
-    rho = {label: p.rho.matrix for label, p in theory.preparations.items()}
+    rho = {label: p.matrix for label, p in theory.preparations.items()}
     outcome_states = []
     for name in weights:
-        effects = [e.matrix for e in theory.measurements[name].povm.effects]
+        effects = [e.matrix for e in theory.measurements[name].effects]
         if any(np.abs(e @ e - e).max() > IDENTITY_TOL for e in effects):
             raise VerificationError(f"mixture component {name!r} is not a PVM")
         outcome_states.append([_label_of(e, rho, f"no state names {name!r}") for e in effects])
@@ -790,12 +792,11 @@ def transf_nogo() -> Certificate:
     every input.  Step 4 certifies the system, which must be infeasible.
     """
     theory = hexagon_theory()
-    channels = {label: t.channel for label, t in theory.transformations.items()}
     checks = [PremiseCheck(name, dev) for name, dev in decomposition_deviations(theory)]
 
-    first = next(iter(theory.preparations.values())).rho
+    first = next(iter(theory.preparations.values()))
     images = OperationalTheory(
-        [Preparation(label, apply_channel(channel, first)) for label, channel in channels.items()],
+        {label: apply_channel(channel, first) for label, channel in theory.transformations.items()},
         mixtures=[replace(d, kind="prep") for d in theory.mixtures if d.kind == "transf"],
     )
     system = system_from_theory(images)
@@ -805,8 +806,8 @@ def transf_nogo() -> Certificate:
         phi = 2 * math.pi * k / DISJOINT_IMAGE_GRID
         rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)])).matrix
         for u, v in system.disjoint_pairs:
-            out1 = channel_action(channels[u], rho)
-            out2 = channel_action(channels[v], rho)
+            out1 = channel_action(theory.transformations[u], rho)
+            out2 = channel_action(theory.transformations[v], rho)
             worst = max(worst, abs(complex(np.trace(out1 @ out2))))
     checks.append(PremiseCheck("disjoint-image", worst))
     return _certify_infeasible(system, checks, "transformation")

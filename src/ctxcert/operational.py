@@ -1,8 +1,10 @@
 """Finite operational theories: labeled procedures and their equivalence classes.
 
-A theory is a finite collection of preparations, transformations and
-measurements together with declared convex-mixture relations.  Each mixture
-is a ``MixtureDecl`` with exact weights, checked against its target when the
+A theory is three label -> operator tables (preparations to density
+operators, measurements to POVMs, transformations to Kraus channels)
+together with declared convex-mixture relations.  A label only names a
+procedure's context; its operator is its equivalence class.  Each mixture is
+a ``MixtureDecl`` with exact weights, checked against its target when the
 theory is built; equivalence of procedures is decided by operator equality
 alone, never by context.
 """
@@ -33,24 +35,6 @@ from .qmath import (
     unitary_channel,
     unitary_rotation_y,
 )
-
-@dataclass(frozen=True)
-class Preparation:
-    label: str
-    rho: DensityOperator
-
-
-@dataclass(frozen=True)
-class Measurement:
-    label: str
-    povm: Povm
-
-
-@dataclass(frozen=True)
-class Transformation:
-    label: str
-    channel: KrausChannel
-
 
 @dataclass(frozen=True)
 class MixtureDecl:
@@ -95,7 +79,7 @@ def _weighted_sum(decl: MixtureDecl, matrices: Mapping[str, np.ndarray]) -> np.n
 
 
 class OperationalTheory:
-    """A named finite collection of procedures with verified mixture relations.
+    """Three label -> operator tables with verified mixture relations.
 
     ``deviations[i]`` is the deviation of ``mixtures[i]`` from its target,
     measured once, here; ``tol`` bounds each and is also the tolerance of
@@ -104,30 +88,18 @@ class OperationalTheory:
 
     def __init__(
         self,
-        preparations: Iterable[Preparation] = (),
-        transformations: Iterable[Transformation] = (),
-        measurements: Iterable[Measurement] = (),
+        preparations: Mapping[str, DensityOperator] = {},
+        transformations: Mapping[str, KrausChannel] = {},
+        measurements: Mapping[str, Povm] = {},
         mixtures: Iterable[MixtureDecl] = (),
         tol: float = VALIDITY_TOL,
     ) -> None:
         if not tol >= 0:
             raise ValueError(f"tol must be nonnegative and not NaN, got {tol}")
         self.tol = tol
-        self.preparations: dict[str, Preparation] = {}
-        self.transformations: dict[str, Transformation] = {}
-        self.measurements: dict[str, Measurement] = {}
-        for p in preparations:
-            if p.label in self.preparations:
-                raise ValueError(f"duplicate preparation label {p.label!r}")
-            self.preparations[p.label] = p
-        for t in transformations:
-            if t.label in self.transformations:
-                raise ValueError(f"duplicate transformation label {t.label!r}")
-            self.transformations[t.label] = t
-        for m in measurements:
-            if m.label in self.measurements:
-                raise ValueError(f"duplicate measurement label {m.label!r}")
-            self.measurements[m.label] = m
+        self.preparations = dict(preparations)
+        self.transformations = dict(transformations)
+        self.measurements = dict(measurements)
         self.mixtures: tuple[MixtureDecl, ...] = tuple(mixtures)
         tables = {
             "prep": ("preparation", self.preparations),
@@ -142,9 +114,9 @@ class OperationalTheory:
                         f"{decl.kind} mixture {decl.target!r}: unknown {noun} {label!r}"
                     )
         dims = (
-            [p.rho.dim for p in self.preparations.values()]
-            + [m.povm.dim for m in self.measurements.values()]
-            + [t.channel.dim_in for t in self.transformations.values()]
+            [rho.dim for rho in self.preparations.values()]
+            + [povm.dim for povm in self.measurements.values()]
+            + [channel.dim_in for channel in self.transformations.values()]
         )
         if dims and any(d != dims[0] for d in dims):
             raise ValueError("all procedures in a theory must share one dimension")
@@ -155,11 +127,11 @@ class OperationalTheory:
             # Entrywise deviation of the density operators, of every effect, or of
             # the Choi matrices, a channel mixture being its Kraus union scaled by sqrt(w).
             if decl.kind == "prep":
-                rhos = {l: self.preparations[l].rho.matrix for _, l in decl.components}
-                pairs = [(_weighted_sum(decl, rhos), self.preparations[decl.target].rho.matrix)]
+                rhos = {l: self.preparations[l].matrix for _, l in decl.components}
+                pairs = [(_weighted_sum(decl, rhos), self.preparations[decl.target].matrix)]
             elif decl.kind == "meas":
-                target = self.measurements[decl.target].povm
-                parts = {l: self.measurements[l].povm for _, l in decl.components}
+                target = self.measurements[decl.target]
+                parts = {l: self.measurements[l] for _, l in decl.components}
                 if any(p.outcome_count != target.outcome_count for p in parts.values()):
                     raise ValueError(f"mixture {decl.target!r} mixes unequal outcome counts")
                 pairs = [
@@ -170,10 +142,10 @@ class OperationalTheory:
                 union = KrausChannel(tuple(
                     math.sqrt(w) * op
                     for w, l in decl.components
-                    for op in self.transformations[l].channel.kraus_ops
+                    for op in self.transformations[l].kraus_ops
                 ))
                 if decl.target not in chois:
-                    chois[decl.target] = choi_matrix(self.transformations[decl.target].channel)
+                    chois[decl.target] = choi_matrix(self.transformations[decl.target])
                 pairs = [(choi_matrix(union), chois[decl.target])]
             dev = max(float(np.abs(total - t).max()) for total, t in pairs)
             if dev > tol:
@@ -188,16 +160,16 @@ class OperationalTheory:
         return {
             "dim": self.dim,
             "preparations": [
-                {"label": p.label, "rho": matrix_to_json(p.rho.matrix)}
-                for p in self.preparations.values()
+                {"label": label, "rho": matrix_to_json(rho.matrix)}
+                for label, rho in self.preparations.items()
             ],
             "measurements": [
-                {"label": m.label, "effects": [matrix_to_json(e.matrix) for e in m.povm.effects]}
-                for m in self.measurements.values()
+                {"label": label, "effects": [matrix_to_json(e.matrix) for e in povm.effects]}
+                for label, povm in self.measurements.items()
             ],
             "transformations": [
-                {"label": t.label, "kraus": [matrix_to_json(w) for w in t.channel.kraus_ops]}
-                for t in self.transformations.values()
+                {"label": label, "kraus": [matrix_to_json(w) for w in channel.kraus_ops]}
+                for label, channel in self.transformations.items()
             ],
             "mixtures": [
                 {
@@ -211,24 +183,7 @@ class OperationalTheory:
 
     @classmethod
     def from_json(cls, doc: dict, tol: float = VALIDITY_TOL) -> "OperationalTheory":
-        preps = [
-            Preparation(entry["label"], DensityOperator(matrix_from_json(entry["rho"])))
-            for entry in _json_entries(doc, "preparations", ("label", "rho"))
-        ]
-        meas = [
-            Measurement(
-                entry["label"],
-                Povm(tuple(Effect(matrix_from_json(e)) for e in entry["effects"])),
-            )
-            for entry in _json_entries(doc, "measurements", ("label", "effects"))
-        ]
-        transf = [
-            Transformation(
-                entry["label"],
-                KrausChannel(tuple(matrix_from_json(w) for w in entry["kraus"])),
-            )
-            for entry in _json_entries(doc, "transformations", ("label", "kraus"))
-        ]
+        preps, meas, transf = _json_tables(doc)
         mixtures = [
             MixtureDecl(
                 entry["kind"],
@@ -243,6 +198,29 @@ class OperationalTheory:
             for entry in _json_entries(doc, "mixtures", ("kind", "target", "components"))
         ]
         return cls(preps, transf, meas, mixtures, tol=tol)
+
+
+def _json_tables(doc: dict) -> list[dict]:
+    """The preparation, measurement and transformation tables of a theory
+    file, each label -> operator.  A label that is not a string raises
+    ``TypeError`` naming its field; a repeated label raises ``ValueError``."""
+    builders = (
+        ("preparations", "rho", lambda m: DensityOperator(matrix_from_json(m))),
+        ("measurements", "effects", lambda es: Povm(tuple(map(Effect, map(matrix_from_json, es))))),
+        ("transformations", "kraus", lambda ws: KrausChannel(tuple(map(matrix_from_json, ws)))),
+    )
+    tables = []
+    for field, key, build in builders:
+        table = {}
+        for entry in _json_entries(doc, field, ("label", key)):
+            label = entry["label"]
+            if not isinstance(label, str):
+                raise TypeError(f"theory field {field!r}: label {label!r} is not a string")
+            if label in table:
+                raise ValueError(f"duplicate {field[:-1]} label {label!r}")
+            table[label] = build(entry[key])
+        tables.append(table)
+    return tables
 
 
 def _json_entries(owner: dict, field: str, keys: tuple[str, ...], where: str = "theory") -> list:
@@ -263,10 +241,10 @@ def _json_entries(owner: dict, field: str, keys: tuple[str, ...], where: str = "
 # criterion for equal statistics under every counterpart procedure).
 
 
-def prep_equivalent(p: Preparation, q: Preparation, tol: float = IDENTITY_TOL) -> bool:
-    if p.rho.dim != q.rho.dim:
+def prep_equivalent(p: DensityOperator, q: DensityOperator, tol: float = IDENTITY_TOL) -> bool:
+    if p.dim != q.dim:
         raise ValueError("preparations act on different dimensions")
-    return bool(np.abs(p.rho.matrix - q.rho.matrix).max() <= tol)
+    return bool(np.abs(p.matrix - q.matrix).max() <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +275,12 @@ def hexagon_states() -> dict[str, DensityOperator]:
     return {name: pure_density(v) for name, v in hexagon_state_vectors().items()}
 
 
-def rotation_transformations() -> dict[str, Transformation]:
+def rotation_transformations() -> dict[str, KrausChannel]:
     """Unitary rotation channels at 0, 60, ..., 300 degrees about the y axis."""
-    out = {}
-    for k, name in enumerate(ROTATION_LABELS):
-        theta = k * math.pi / 3
-        out[name] = Transformation(name, unitary_channel(unitary_rotation_y(theta)))
-    return out
+    return {
+        name: unitary_channel(unitary_rotation_y(k * math.pi / 3))
+        for k, name in enumerate(ROTATION_LABELS)
+    }
 
 
 def y_projection_channel() -> KrausChannel:
@@ -341,20 +318,14 @@ def hexagon_theory() -> OperationalTheory:
         MixtureDecl("prep", "abc", ((third, "a"), (third, "b"), (third, "c"))),
         MixtureDecl("prep", "ABC", ((third, "A"), (third, "B"), (third, "C"))),
     ]
-    preps = [Preparation(name, rho) for name, rho in states.items()] + [
-        Preparation(d.target, DensityOperator(_weighted_sum(d, rhos)))
-        for d in prep_mixture_decls
-    ]
+    preps = states | {d.target: DensityOperator(_weighted_sum(d, rhos)) for d in prep_mixture_decls}
 
-    pvms = [Measurement(f"M{x}", Povm((Effect(rhos[x]), Effect(rhos[x.upper()])))) for x in "abc"]
+    meas = {f"M{x}": Povm((Effect(rhos[x]), Effect(rhos[x.upper()]))) for x in "abc"}
     meas_mixture_decl = MixtureDecl("meas", "M", ((third, "Ma"), (third, "Mb"), (third, "Mc")))
-    outcomes = [{m.label: m.povm[k].matrix for m in pvms} for k in range(2)]
-    mixed_meas = Measurement(
-        "M", Povm(tuple(Effect(_weighted_sum(meas_mixture_decl, o)) for o in outcomes))
-    )
+    outcomes = [{label: povm[k].matrix for label, povm in meas.items()} for k in range(2)]
+    meas["M"] = Povm(tuple(Effect(_weighted_sum(meas_mixture_decl, o)) for o in outcomes))
+    meas["Mtrivial"] = coin_flip_povm()
 
-    rotations = rotation_transformations()
-    projection = Transformation("T", y_projection_channel())
     transf_mixture_decls = [
         MixtureDecl("transf", "T", ((half, "T0"), (half, "T180"))),
         MixtureDecl("transf", "T", ((half, "T60"), (half, "T240"))),
@@ -365,8 +336,8 @@ def hexagon_theory() -> OperationalTheory:
 
     return OperationalTheory(
         preparations=preps,
-        transformations=list(rotations.values()) + [projection],
-        measurements=pvms + [mixed_meas, Measurement("Mtrivial", coin_flip_povm())],
+        transformations=rotation_transformations() | {"T": y_projection_channel()},
+        measurements=meas,
         mixtures=prep_mixture_decls + [meas_mixture_decl] + transf_mixture_decls,
     )
 
@@ -392,9 +363,9 @@ def render_bloch_disk_svg() -> str:
     decls = [d for d in theory.mixtures if d.kind == "prep"]
     targets = {d.target for d in decls}
     states = {}
-    for label, prep in theory.preparations.items():
+    for label, rho in theory.preparations.items():
         if label not in targets:
-            x, _, z = bloch_from_density(prep.rho)
+            x, _, z = bloch_from_density(rho)
             states[label] = (float(x), float(z))
     cx = cy = _FIGURE_SIZE / 2
     lines = [

@@ -78,13 +78,11 @@ class TestIndicator:
 
     def test_matches_born_rule_exactly(self, vectors):
         theory = hexagon_theory()
-        for meas in theory.measurements.values():
+        for povm in theory.measurements.values():
             for name in "aAbBcC":
                 state = PureOnticState(vectors[name])
-                expected = [
-                    born_probability(state.density(), e) for e in meas.povm.effects
-                ]
-                assert bb_indicator(meas.povm, state) == pytest.approx(expected, abs=0)
+                expected = [born_probability(state.rho, e) for e in povm.effects]
+                assert bb_indicator(povm, state) == pytest.approx(expected, abs=0)
 
     def test_off_eigenstate_grid_fails_outcome_determinism(self, vectors, antipodal_pvm):
         grid = [PureOnticState(vectors[name]) for name in "aAbBcC"]
@@ -238,8 +236,8 @@ class TestStructuralDemonstrations:
 
     def test_declared_mixture_context_equals_direct_coin(self, vectors):
         theory = hexagon_theory()
-        mixed = theory.measurements["M"].povm
-        coin = theory.measurements["Mtrivial"].povm
+        mixed = theory.measurements["M"]
+        coin = theory.measurements["Mtrivial"]
         for name in "aAbBcC":
             state = PureOnticState(vectors[name])
             assert bb_indicator(mixed, state) == pytest.approx(

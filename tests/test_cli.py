@@ -10,7 +10,6 @@ from ctxcert.nogo import MAX_DISJOINT_PAIRS
 from ctxcert.operational import (
     MixtureDecl,
     OperationalTheory,
-    Preparation,
     hexagon_states,
     hexagon_theory,
     render_bloch_disk_svg,
@@ -183,14 +182,13 @@ class TestFeasibilityCommand:
         """A theory of the given hexagon states and the given
         ``(target, components)`` mixtures."""
         hexagon = hexagon_states()
-        preps = {name: Preparation(name, hexagon[name]) for name in states}
+        preps = {name: hexagon[name] for name in states}
         decls = []
         for target, components in mixtures:
-            rho = sum(w * preps[l].rho.matrix for w, l in components)
-            preps[target] = Preparation(target, DensityOperator(rho))
+            preps[target] = DensityOperator(sum(w * preps[l].matrix for w, l in components))
             decls.append(MixtureDecl("prep", target, components))
         path = tmp_path / "theory.json"
-        path.write_text(json.dumps(OperationalTheory(preps.values(), mixtures=decls).to_json()))
+        path.write_text(json.dumps(OperationalTheory(preps, mixtures=decls).to_json()))
         return path
 
     def test_targets_in_two_equivalence_classes_exit_two(self, capsys, tmp_path):
@@ -295,8 +293,24 @@ class TestFeasibilityCommand:
             (("mixtures", 0, "kind"), "meas", "meas mixture 'aA': unknown measurement 'aA'"),
             (("preparations",), "abc", "theory field 'preparations'"),
             (("mixtures",), {"aA": {}}, "theory field 'mixtures'"),
+            (("preparations", 1, "label"), "a", "duplicate preparation label 'a'"),
+            (("measurements", 1, "label"), "Ma", "duplicate measurement label 'Ma'"),
+            (("transformations", 1, "label"), "T0", "duplicate transformation label 'T0'"),
+            (
+                ("preparations", 0, "label"),
+                ["a"],
+                "theory field 'preparations': label ['a'] is not a string",
+            ),
+            (
+                ("preparations", 0, "label"),
+                9,
+                "theory field 'preparations': label 9 is not a string",
+            ),
         ],
-        ids=["component", "target", "kind", "preparations", "mixtures"],
+        ids=[
+            "component", "target", "kind", "preparations", "mixtures", "repeated-preparation",
+            "repeated-measurement", "repeated-transformation", "list-label", "number-label",
+        ],
     )
     def test_theory_error_names_the_mixture_or_field(
         self, capsys, theory_file, path, value, named

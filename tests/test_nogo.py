@@ -38,10 +38,8 @@ from ctxcert.nogo import (
 )
 from ctxcert.ontomodel import is_outcome_deterministic
 from ctxcert.operational import (
-    Measurement,
     MixtureDecl,
     OperationalTheory,
-    Preparation,
     hexagon_state_vectors,
     hexagon_states,
     hexagon_theory,
@@ -90,14 +88,14 @@ def _coin_flip_theory(pvms, components) -> OperationalTheory:
     ``{label: (state per outcome, ...)}``, the coin flip ``Mtrivial`` and a
     measurement ``M`` equal to it, declared as the mixture ``components``."""
     states = hexagon_states()
-    preps = [Preparation(label, states[label]) for label in ("a", "A")]
-    preps.append(Preparation("aA", DensityOperator(identity(2) / 2)))
+    preps = {label: states[label] for label in ("a", "A")}
+    preps["aA"] = DensityOperator(identity(2) / 2)
     coin = Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
-    measurements = [
-        Measurement(label, Povm(tuple(Effect(states[s].matrix) for s in outcomes)))
+    measurements = {
+        label: Povm(tuple(Effect(states[s].matrix) for s in outcomes))
         for label, outcomes in pvms.items()
-    ]
-    measurements += [Measurement("M", coin), Measurement("Mtrivial", coin)]
+    }
+    measurements |= {"M": coin, "Mtrivial": coin}
     return OperationalTheory(
         preps, measurements=measurements, mixtures=[MixtureDecl("meas", "M", components)]
     )
@@ -166,6 +164,11 @@ class TestConstraintSystem:
         with pytest.raises(ValueError):
             ConstraintSystem(("a",), (("a", "b"),))
 
+    @pytest.mark.parametrize("pair", ["ab", ("a", "A", "a"), ("a",), 5])
+    def test_a_pair_must_be_two_names(self, pair):
+        with pytest.raises(TypeError, match="list of two names"):
+            ConstraintSystem(("a", "A"), (pair,))
+
     def test_coefficients_kept_exact(self):
         system = ConstraintSystem(("x",), (), ({"x": "1/3"},))
         assert system.equality_groups[0][0][1] == Fraction(1, 3)
@@ -189,10 +192,10 @@ class TestConstraintSystem:
         """States 1e-3 rad away from orthogonal are a disjoint pair only at a
         theory tolerance above their overlap."""
         a, near = (np.array(v) for v in ([1.0, 0.0], [math.sin(1e-3), math.cos(1e-3)]))
-        rhos = [np.outer(v, v) for v in (a, near)]
+        rhos = {l: np.outer(v, v) for l, v in (("a", a), ("near", near))}
+        rhos["m"] = (rhos["a"] + rhos["near"]) / 2
         theory = OperationalTheory(
-            [Preparation(l, DensityOperator(r)) for l, r in zip(("a", "near"), rhos)]
-            + [Preparation("m", DensityOperator((rhos[0] + rhos[1]) / 2))],
+            {l: DensityOperator(r) for l, r in rhos.items()},
             mixtures=[MixtureDecl("prep", "m", (("1/2", "a"), ("1/2", "near")))],
             tol=tol,
         )
@@ -547,10 +550,7 @@ class TestTransfNogo:
         theory = hexagon_theory()
         kept = [d for d in theory.mixtures if d.kind != "transf" or len(d.components) == 2]
         pairs_only = OperationalTheory(
-            theory.preparations.values(),
-            theory.transformations.values(),
-            theory.measurements.values(),
-            kept,
+            theory.preparations, theory.transformations, theory.measurements, kept
         )
         monkeypatch.setattr(nogo, "hexagon_theory", lambda: pairs_only)
         with pytest.raises(VerificationError, match="unexpectedly feasible"):
@@ -688,7 +688,7 @@ class TestMinimalityProbe:
 def _balanced_simulation():
     vectors = hexagon_state_vectors()
     prep = BBPreparation(tuple((0.5, PureOnticState(vectors[x])) for x in "aA"))
-    return bb_simulate(prep, hexagon_theory().measurements["Mb"].povm, 10_000, 7)
+    return bb_simulate(prep, hexagon_theory().measurements["Mb"], 10_000, 7)
 
 
 class TestGoldenCertificates:
@@ -788,7 +788,14 @@ class TestValidateOnce:
     """Operators derived from validated ones are not validated again; each
     validation computes one spectrum."""
 
-    @pytest.mark.parametrize("build, most", [(hexagon_theory, 20), (transf_nogo, 63)])
+    @pytest.mark.parametrize(
+        "build, most",
+        [
+            (hexagon_theory, 20),
+            (transf_nogo, 63),
+            (lambda: bb_meas_noncontextuality_property(20, 7), 380),
+        ],
+    )
     def test_spectra_per_call(self, monkeypatch, build, most):
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))

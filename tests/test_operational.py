@@ -6,11 +6,8 @@ import numpy as np
 import pytest
 
 from ctxcert.operational import (
-    Measurement,
     MixtureDecl,
     OperationalTheory,
-    Preparation,
-    Transformation,
     coin_flip_povm,
     hexagon_theory,
     prep_equivalent,
@@ -71,21 +68,20 @@ class TestTransfEquivalence:
 
     def test_reflexive(self, theory):
         t0 = theory.transformations["T0"]
-        assert channels_equal(t0.channel, t0.channel)
+        assert channels_equal(t0, t0)
 
     def test_distinct_rotations_differ(self, theory):
-        assert not channels_equal(
-            theory.transformations["T60"].channel, theory.transformations["T120"].channel
-        )
+        assert not channels_equal(theory.transformations["T60"], theory.transformations["T120"])
 
 
 def _declared(kind, procedures, components, target):
-    """Deviation of ``target`` from the mixture ``components`` of
-    ``procedures``, declared in a theory that accepts any deviation."""
+    """Deviation of the operator ``target``, labeled ``m``, from the mixture
+    ``components`` of the ``procedures`` table, declared in a theory that
+    accepts any deviation."""
     field = {"prep": "preparations", "meas": "measurements", "transf": "transformations"}[kind]
     theory = OperationalTheory(
-        **{field: [*procedures, target]},
-        mixtures=[MixtureDecl(kind, target.label, components)],
+        **{field: {**procedures, "m": target}},
+        mixtures=[MixtureDecl(kind, "m", components)],
         tol=math.inf,
     )
     (deviation,) = theory.deviations
@@ -98,19 +94,19 @@ class TestMixtures:
     HALF, THIRD = Fraction(1, 2), Fraction(1, 3)
 
     def test_balanced_antipodal_mixture_is_completely_mixed(self, theory):
-        pair = [theory.preparations[l] for l in ("a", "A")]
-        center = Preparation("m", DensityOperator(identity(2) / 2))
+        pair = {l: theory.preparations[l] for l in ("a", "A")}
+        center = DensityOperator(identity(2) / 2)
         assert _declared("prep", pair, ((self.HALF, "a"), (self.HALF, "A")), center) < 1e-15
 
     def test_balanced_trine_mixture_is_completely_mixed(self, theory):
-        trine = [theory.preparations[l] for l in ("a", "b", "c")]
-        center = Preparation("m", DensityOperator(identity(2) / 2))
+        trine = {l: theory.preparations[l] for l in ("a", "b", "c")}
+        center = DensityOperator(identity(2) / 2)
         components = tuple((self.THIRD, l) for l in ("a", "b", "c"))
         assert _declared("prep", trine, components, center) < 1e-15
 
     def test_singleton_mixture_is_identity_operation(self, theory):
-        copy = Preparation("m", theory.preparations["b"].rho)
-        assert _declared("prep", [theory.preparations["b"]], ((1, "b"),), copy) == 0.0
+        b = theory.preparations["b"]
+        assert _declared("prep", {"b": b}, ((1, "b"),), b) == 0.0
 
     def test_component_labels_recorded_as_context(self, theory):
         (decl,) = (d for d in theory.mixtures if d.target == "aA")
@@ -122,56 +118,46 @@ class TestMixtures:
                 MixtureDecl("prep", "m", components)
 
     def test_uniform_pvm_mixture_gives_coin_povm(self, theory):
-        pvms = [theory.measurements[l] for l in ("Ma", "Mb", "Mc")]
-        components = tuple((self.THIRD, m.label) for m in pvms)
-        coin = Measurement("m", coin_flip_povm())
-        assert _declared("meas", pvms, components, coin) < 1e-15
+        pvms = {l: theory.measurements[l] for l in ("Ma", "Mb", "Mc")}
+        components = tuple((self.THIRD, l) for l in pvms)
+        assert _declared("meas", pvms, components, coin_flip_povm()) < 1e-15
 
     def test_singleton_measurement_mixture_is_identity_operation(self, theory):
-        copy = Measurement("m", theory.measurements["Ma"].povm)
-        assert _declared("meas", [theory.measurements["Ma"]], ((1, "Ma"),), copy) == 0.0
+        ma = theory.measurements["Ma"]
+        assert _declared("meas", {"Ma": ma}, ((1, "Ma"),), ma) == 0.0
 
     def test_extremal_binary_povms_mix_to_coin(self):
-        all_or_nothing = Measurement(
-            "first", Povm((Effect(identity(2)), Effect(np.zeros((2, 2)))))
-        )
-        nothing_or_all = Measurement(
-            "second", Povm((Effect(np.zeros((2, 2))), Effect(identity(2))))
-        )
+        extremal = {
+            "first": Povm((Effect(identity(2)), Effect(np.zeros((2, 2))))),
+            "second": Povm((Effect(np.zeros((2, 2))), Effect(identity(2)))),
+        }
         components = ((self.HALF, "first"), (self.HALF, "second"))
-        coin = Measurement("m", coin_flip_povm())
-        assert _declared("meas", [all_or_nothing, nothing_or_all], components, coin) == 0.0
+        assert _declared("meas", extremal, components, coin_flip_povm()) == 0.0
 
     def test_outcome_count_mismatch_rejected(self, theory):
-        single = Measurement("unit", Povm((Effect(identity(2)),)))
+        parts = {"Ma": theory.measurements["Ma"], "unit": Povm((Effect(identity(2)),))}
         components = ((self.HALF, "Ma"), (self.HALF, "unit"))
         with pytest.raises(ValueError, match="unequal outcome counts"):
-            _declared(
-                "meas", [theory.measurements["Ma"], single], components,
-                Measurement("m", coin_flip_povm()),
-            )
+            _declared("meas", parts, components, coin_flip_povm())
 
     def test_channel_mixtures_reproduce_projection(self, theory):
-        rotations = list(rotation_transformations().values())
-        projection = Transformation("m", y_projection_channel())
+        rotations = rotation_transformations()
+        projection = y_projection_channel()
         k1 = ((self.HALF, "T0"), (self.HALF, "T180"))
         k5 = ((self.THIRD, "T60"), (self.THIRD, "T180"), (self.THIRD, "T300"))
         for components in (k1, k5):
             assert _declared("transf", rotations, components, projection) <= 1e-15
 
     def test_singleton_channel_mixture(self, theory):
-        copy = Transformation("m", theory.transformations["T0"].channel)
-        assert _declared("transf", [theory.transformations["T0"]], ((1, "T0"),), copy) == 0.0
+        t0 = theory.transformations["T0"]
+        assert _declared("transf", {"T0": t0}, ((1, "T0"),), t0) == 0.0
 
     def test_false_channel_mixture_is_refused_by_position(self, theory):
         mixtures = list(theory.mixtures)
         mixtures.insert(8, MixtureDecl("transf", "T", ((self.HALF, "T0"), (self.HALF, "T120"))))
         with pytest.raises(ValueError, match=r"mixtures\[8\]: transf mixture 'T' fails to verify"):
             OperationalTheory(
-                theory.preparations.values(),
-                theory.transformations.values(),
-                theory.measurements.values(),
-                mixtures,
+                theory.preparations, theory.transformations, theory.measurements, mixtures
             )
 
 
@@ -181,15 +167,15 @@ class TestHexagonTheory:
         assert max(theory.deviations) <= 1e-12
 
     def test_first_state_upper_left_entry(self, theory):
-        assert theory.preparations["a"].rho.matrix[0, 0] == 1.0
+        assert theory.preparations["a"].matrix[0, 0] == 1.0
 
     def test_all_six_states_lie_in_the_zx_plane(self, theory):
         for label in "aAbBcC":
-            assert abs(bloch_from_density(theory.preparations[label].rho)[1]) < 1e-15
+            assert abs(bloch_from_density(theory.preparations[label])[1]) < 1e-15
 
     def test_mixture_targets_all_equal_center(self, theory):
         for label in ("aA", "bB", "cC", "abc", "ABC"):
-            assert np.abs(theory.preparations[label].rho.matrix - identity(2) / 2).max() < 1e-12
+            assert np.abs(theory.preparations[label].matrix - identity(2) / 2).max() < 1e-12
 
     def test_declared_weights_are_exact(self):
         decl = MixtureDecl("prep", "m", (("1/3", "a"), (Fraction(1, 3), "b"), (1 / 3, "a")))
@@ -206,7 +192,7 @@ class TestHexagonTheory:
     def test_corrupted_mixture_rejected(self, theory):
         with pytest.raises(ValueError):
             OperationalTheory(
-                preparations=[theory.preparations["a"], theory.preparations["b"]],
+                preparations={l: theory.preparations[l] for l in "ab"},
                 mixtures=[MixtureDecl("prep", "a", ((1.0, "b"),))],
             )
 
@@ -216,7 +202,7 @@ class TestHexagonTheory:
         half = Fraction(1, 2)
         with pytest.raises(ValueError, match="tol must be nonnegative and not NaN"):
             OperationalTheory(
-                [theory.preparations[l] for l in ("a", "b", "aA")],
+                {l: theory.preparations[l] for l in ("a", "b", "aA")},
                 mixtures=[MixtureDecl("prep", "aA", ((half, "a"), (half, "b")))],
                 tol=tol,
             )
