@@ -422,9 +422,9 @@ class TestSimulateCommand:
 
     def test_sample_count_over_the_limit_exits_two_before_drawing(self, capsys, monkeypatch):
         def unreachable(*args):
-            raise RuntimeError("the component draw was reached")
+            raise RuntimeError("the generator was built")
 
-        monkeypatch.setattr(bbmodel, "_component_indices", unreachable)
+        monkeypatch.setattr(bbmodel, "_rng", unreachable)
         argv = ["--prep", "a", "--povm", "a", "--samples", str(10**12)]
         code, _, stderr = _run(capsys, "simulate-bb", *argv)
         assert code == 2

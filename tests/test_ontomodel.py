@@ -253,6 +253,14 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             OntModel(OnticSpace(3), prep_map={"a": _delta(0, 2)})
 
+    def test_to_json_writes_every_map(self):
+        assert _two_point_model().to_json() == {
+            "ontic_size": 2,
+            "preparations": {"a": [1.0, 0.0], "A": [0.0, 1.0]},
+            "measurements": {"Ma": [[1.0, 0.0], [0.0, 1.0]]},
+            "transformations": {},
+        }
+
     def test_json_roundtrip(self):
         model = _two_point_model()
         model.transf_map["swap"] = TransitionMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
