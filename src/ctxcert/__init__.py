@@ -29,7 +29,6 @@ from .ontomodel import (
     IndicatorSet,
     OntModel,
     OnticSpace,
-    TransitionMatrix,
     disjoint,
     is_outcome_deterministic,
     outcome_determinism_from_prep_nc,
@@ -55,7 +54,6 @@ from .bbmodel import (
     bb_indicator,
     bb_meas_noncontextuality_property,
     bb_prep_contextuality_demo,
-    bb_sample,
     bb_simulate,
 )
 from .kraus import (

@@ -7,9 +7,10 @@ each ray.  The model reproduces quantum statistics exactly, is
 measurement-noncontextual (the response functions depend only on the POVM)
 and is demonstrably preparation-contextual.
 
-Sampling uses the counter-based Philox generator with an explicit seed, so
-every simulated stream is a pure function of ``(seed, n)``; outcome draws
-use inverse-CDF lookups in outcome order.
+``bb_simulate`` samples with the counter-based Philox generator and an
+explicit seed, so every simulated stream is a pure function of
+``(seed, n)``; component and outcome draws use inverse-CDF lookups, in
+declaration and outcome order.
 """
 
 from __future__ import annotations
@@ -118,30 +119,6 @@ def bb_indicator(povm: Povm, psi: PureOnticState) -> np.ndarray:
     return np.array([born_probability(psi.rho, e) for e in povm.effects])
 
 
-def bb_sample(prep: BBPreparation, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. ontic states from the preparation's mixture, as
-    indices into ``prep.mixture``.
-
-    Deterministic given ``seed``; component choice is inverse-CDF over the
-    mixture weights in declaration order.
-    """
-    _check_sample_count(n)
-    return _component_indices(prep, n, _rng(seed))
-
-
-def _check_sample_count(n: int) -> None:
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if n > MAX_SAMPLES:
-        raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
-
-
-def _component_indices(prep: BBPreparation, n: int, rng: np.random.Generator) -> np.ndarray:
-    cumulative = np.cumsum([w for w, _ in prep.mixture])
-    u = rng.random(n)
-    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(prep.mixture) - 1)
-
-
 @dataclass(frozen=True)
 class SimulationReport:
     prep: BBPreparation
@@ -181,14 +158,19 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
 
     The empirical frequencies converge to the Born probabilities of the
     mixture's density operator.  The stream draws one block of ``n``
-    uniforms for the component choices followed by one block of ``n`` for
-    the outcomes, so the report is a pure function of ``(seed, n)``.
+    uniforms for the component choices, inverse-CDF over the mixture weights
+    in declaration order, followed by one block of ``n`` for the outcomes,
+    so the report is a pure function of ``(seed, n)``.
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
-    _check_sample_count(n)
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
     rng = _rng(seed)
-    comps = _component_indices(prep, n, rng)
+    comps = np.searchsorted(np.cumsum([w for w, _ in prep.mixture]), rng.random(n), side="right")
+    comps = np.minimum(comps, len(prep.mixture) - 1)
     u = rng.random(n)
     # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
     counts = np.zeros(povm.outcome_count, dtype=np.int64)

@@ -658,8 +658,9 @@ class ForcedIndicator:
     by_permutation_symmetry: tuple[float, float]
     values: tuple[float, float]
 
-    def indicator_set(self, size: int = 1) -> IndicatorSet:
-        return IndicatorSet(np.tile(np.array(self.values).reshape(-1, 1), (1, size)))
+    def indicator_set(self) -> IndicatorSet:
+        """The forced pair as an indicator set on a one-point ontic space."""
+        return IndicatorSet(np.array(self.values).reshape(-1, 1))
 
 
 def trivial_povm_forced_indicator() -> ForcedIndicator:
@@ -766,7 +767,7 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
     not idempotent."""
     forced = trivial_povm_forced_indicator()
     coin = coin_flip_povm()
-    deterministic = is_outcome_deterministic(forced.indicator_set(size=1))
+    deterministic = is_outcome_deterministic(forced.indicator_set())
     return OdUnsharpReport(
         povm=coin,
         forced_values=forced.values,

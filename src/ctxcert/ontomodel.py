@@ -1,11 +1,12 @@
 """Ontological models on a finite ontic space.
 
-Distributions over ontic states, indicator-function sets for measurements,
-transition matrices for transformations, the prediction rule contracting
-them, and the derivation of outcome determinism from preparation
-noncontextuality.  All of the integrals of the continuum picture become
-finite sums here; every no-go argument is pointwise in the ontic state, so
-finite spaces suffice to witness feasibility.
+Distributions over ontic states for preparations, indicator-function sets
+for measurements, the prediction rule contracting them, and the derivation
+of outcome determinism from preparation noncontextuality.  All of the
+integrals of the continuum picture become finite sums here; every no-go
+argument is pointwise in the ontic state, so finite spaces suffice to
+witness feasibility.  A transformation meets a model only through the
+preparations it produces, so a model holds no transition matrices.
 """
 
 from __future__ import annotations
@@ -79,32 +80,6 @@ class IndicatorSet:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Column-stochastic matrix; a new distribution is ``matrix @ old``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = frozen_array(self.matrix, float)
-        if m.ndim != 2:
-            raise ValueError("transition matrix must be 2-d")
-        if m.min() < -VALIDITY_TOL:
-            raise ValueError("transition probabilities must be nonnegative")
-        cols = m.sum(axis=0)
-        if np.abs(cols - 1.0).max() > VALIDITY_TOL:
-            raise ValueError("each transition-matrix column must sum to 1")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def size_in(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def size_out(self) -> int:
-        return self.matrix.shape[0]
-
-
 @dataclass
 class OntModel:
     """Label-keyed representations of procedures over a shared ontic space."""
@@ -112,7 +87,6 @@ class OntModel:
     space: OnticSpace
     prep_map: dict[str, Distribution] = field(default_factory=dict)
     meas_map: dict[str, IndicatorSet] = field(default_factory=dict)
-    transf_map: dict[str, TransitionMatrix] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         n = self.space.size
@@ -122,9 +96,6 @@ class OntModel:
         for label, xi in self.meas_map.items():
             if xi.size != n:
                 raise ValueError(f"indicator set {label!r} lives on the wrong space")
-        for label, gamma in self.transf_map.items():
-            if gamma.size_in != n or gamma.size_out != n:
-                raise ValueError(f"transition matrix {label!r} lives on the wrong space")
 
     def to_json(self) -> dict:
         return {
@@ -133,46 +104,24 @@ class OntModel:
             "measurements": {
                 l: [list(map(float, row)) for row in xi.values] for l, xi in self.meas_map.items()
             },
-            "transformations": {
-                l: [list(map(float, row)) for row in g.matrix] for l, g in self.transf_map.items()
-            },
+            "transformations": {},  # a model holds none; the key keeps witness bytes fixed
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "OntModel":
-        return cls(
-            space=OnticSpace(int(doc["ontic_size"])),
-            prep_map={l: Distribution(np.array(w)) for l, w in doc.get("preparations", {}).items()},
-            meas_map={l: IndicatorSet(np.array(v)) for l, v in doc.get("measurements", {}).items()},
-            transf_map={
-                l: TransitionMatrix(np.array(m)) for l, m in doc.get("transformations", {}).items()
-            },
-        )
 
 
 # ---------------------------------------------------------------------------
 # The prediction rule and pointwise structure.
 
 
-def predict(mu: Distribution, gamma: TransitionMatrix | None, xi: IndicatorSet) -> np.ndarray:
-    """Outcome probabilities ``p_k = sum_{l',l} xi_k(l') Gamma(l',l) mu(l)``.
-
-    ``gamma=None`` means the identity transformation.  The result is a
-    probability vector over outcomes.
-    """
-    w = mu.weights
-    if gamma is not None:
-        if gamma.size_in != mu.size:
-            raise ValueError("transition matrix and distribution sizes differ")
-        w = gamma.matrix @ w
-    if xi.size != w.size:
+def predict(mu: Distribution, xi: IndicatorSet) -> np.ndarray:
+    """Outcome probabilities ``p_k = sum_l xi_k(l) mu(l)``, a probability vector."""
+    if xi.size != mu.size:
         raise ValueError("indicator set and distribution sizes differ")
-    return xi.values @ w
+    return xi.values @ mu.weights
 
 
-def support(mu: Distribution, tol: float = VALIDITY_TOL) -> frozenset[int]:
-    """Indices carrying more than ``tol`` probability."""
-    return frozenset(int(i) for i in np.flatnonzero(mu.weights > tol))
+def support(mu: Distribution) -> frozenset[int]:
+    """Indices carrying more than ``VALIDITY_TOL`` probability."""
+    return frozenset(int(i) for i in np.flatnonzero(mu.weights > VALIDITY_TOL))
 
 
 def disjoint(mu: Distribution, nu: Distribution) -> bool:
@@ -275,7 +224,7 @@ def outcome_determinism_from_prep_nc(
         stats_dev = 0.0
         if xi.outcome_count == len(mus):
             for k, mu in enumerate(mus):
-                probs = predict(mu, None, xi)
+                probs = predict(mu, xi)
                 target = np.zeros(xi.outcome_count)
                 target[k] = 1.0
                 stats_dev = max(stats_dev, float(np.abs(probs - target).max()))

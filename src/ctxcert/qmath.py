@@ -135,9 +135,6 @@ class Povm:
     def outcome_count(self) -> int:
         return len(self.effects)
 
-    def __len__(self) -> int:
-        return len(self.effects)
-
     def __getitem__(self, k: int) -> Effect:
         return self.effects[k]
 

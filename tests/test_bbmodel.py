@@ -12,7 +12,6 @@ from ctxcert.bbmodel import (
     bb_indicator,
     bb_meas_noncontextuality_property,
     bb_prep_contextuality_demo,
-    bb_sample,
     bb_simulate,
 )
 from ctxcert.ontomodel import IndicatorSet, is_outcome_deterministic
@@ -96,34 +95,24 @@ class TestIndicator:
 
 
 class TestSampling:
-    def test_pure_preparation_yields_copies(self, vectors):
-        prep = BBPreparation(((1.0, PureOnticState(vectors["c"])),))
-        draws = bb_sample(prep, 25, seed=1)
-        assert draws.shape == (25,)
-        assert (draws == 0).all()
+    """The component draw of ``bb_simulate``: against the a/A measurement the
+    outcome of each component is certain, so outcome frequencies are
+    component frequencies."""
 
-    def test_balanced_mixture_frequency_within_three_sigma(self, vectors):
+    def test_balanced_mixture_frequency_within_three_sigma(self, vectors, antipodal_pvm):
         prep = BBPreparation(
             ((0.5, PureOnticState(vectors["a"])), (0.5, PureOnticState(vectors["A"])))
         )
         n = 100_000
-        draws = bb_sample(prep, n, seed=99)
-        first = int(np.count_nonzero(draws == 0))
+        report = bb_simulate(prep, antipodal_pvm, n, seed=99)
         sigma = math.sqrt(0.25 / n)
-        assert abs(first / n - 0.5) <= 3 * sigma
+        assert abs(report.frequencies[0] - 0.5) <= 3 * sigma
 
-    def test_same_seed_reproduces_the_sequence(self, vectors):
-        prep = BBPreparation(
-            ((0.3, PureOnticState(vectors["a"])), (0.7, PureOnticState(vectors["b"])))
-        )
-        first = bb_sample(prep, 500, seed=42)
-        second = bb_sample(prep, 500, seed=42)
-        assert np.array_equal(first, second)
-
-    def test_sample_count_validated(self, vectors):
+    def test_sample_count_validated(self, vectors, antipodal_pvm):
         prep = BBPreparation(((1.0, PureOnticState(vectors["a"])),))
-        with pytest.raises(ValueError):
-            bb_sample(prep, 0, seed=1)
+        for n in (0, bbmodel.MAX_SAMPLES + 1):
+            with pytest.raises(ValueError, match="sample"):
+                bb_simulate(prep, antipodal_pvm, n, seed=1)
 
 
 class TestSimulation:
@@ -188,7 +177,10 @@ class TestSimulation:
             for povm in (antipodal_pvm, trine):
                 for seed in range(3):
                     rng = bbmodel._rng(seed)
-                    comps = bbmodel._component_indices(prep, n, rng)
+                    weights = np.cumsum([w for w, _ in prep.mixture])
+                    comps = np.minimum(
+                        (rng.random(n)[:, None] >= weights).sum(axis=1), len(prep.mixture) - 1
+                    )
                     u = rng.random(n)
                     table = np.column_stack(
                         [np.cumsum(bb_indicator(povm, s)) for _, s in prep.mixture]

@@ -515,7 +515,7 @@ class TestOdUnsharp:
 
     def test_indicator_fragment_checks_out(self):
         forced = trivial_povm_forced_indicator()
-        assert not is_outcome_deterministic(forced.indicator_set(size=3))
+        assert not is_outcome_deterministic(forced.indicator_set())
 
 
 class TestTransfNogo:

@@ -5,7 +5,7 @@ import pytest
 
 from ctxcert.bbmodel import BBPreparation, PureOnticState
 from ctxcert.kraus import RemixMatrix
-from ctxcert.ontomodel import Distribution, IndicatorSet, TransitionMatrix
+from ctxcert.ontomodel import Distribution, IndicatorSet
 from ctxcert.operational import MixtureDecl, hexagon_states, y_projection_channel
 from ctxcert.qmath import (
     DensityOperator,
@@ -292,7 +292,6 @@ class TestValidation:
             lambda x: KrausChannel(([[1, 0], [0, x]],)),
             lambda x: Distribution([x, 1.0]),
             lambda x: IndicatorSet([[x], [1.0]]),
-            lambda x: TransitionMatrix([[x]]),
             lambda x: RemixMatrix([[x]]),
             lambda x: PureOnticState([x, 0]),
             lambda x: BBPreparation(((x, PureOnticState([1, 0])),)),
@@ -300,7 +299,7 @@ class TestValidation:
         ],
         ids=[
             "DensityOperator", "Effect", "Povm", "KrausChannel", "Distribution",
-            "IndicatorSet", "TransitionMatrix", "RemixMatrix", "PureOnticState",
+            "IndicatorSet", "RemixMatrix", "PureOnticState",
             "BBPreparation", "mixture-weight",
         ],
     )
