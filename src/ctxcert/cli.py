@@ -187,15 +187,21 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
     vectors = hexagon_state_vectors()
     if spec.startswith("@"):
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        return BBPreparation(
-            tuple(
-                (
-                    real_from_json(entry["weight"]),
-                    PureOnticState(np.array([complex_from_json(z) for z in entry["state"]])),
-                )
-                for entry in doc
-            )
-        )
+        if not isinstance(doc, list):
+            raise InputError(f"--prep {spec}: expected a list of objects with fields weight, state")
+        mixture = []
+        for i, entry in enumerate(doc):
+            where = f"--prep {spec}: entry {i}"
+            if not isinstance(entry, dict):
+                raise InputError(f"{where} is not an object with fields weight, state")
+            for key in ("weight", "state"):
+                if key not in entry:
+                    raise InputError(f"{where} has no field {key!r}")
+            if not isinstance(entry["state"], list):
+                raise InputError(f"{where}: field 'state' is not a list")
+            state = np.array([complex_from_json(z) for z in entry["state"]])
+            mixture.append((real_from_json(entry["weight"]), PureOnticState(state)))
+        return BBPreparation(tuple(mixture))
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
         raise InputError("empty preparation spec")
@@ -215,7 +221,9 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
 def _parse_povm_spec(spec: str) -> Povm:
     if spec.startswith("@"):
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        effects = doc["effects"] if isinstance(doc, dict) else doc
+        effects = doc.get("effects") if isinstance(doc, dict) else doc
+        if not isinstance(effects, list):
+            raise InputError(f"--povm {spec}: field 'effects' is not a list of matrices")
         return Povm(tuple(Effect(matrix_from_json(m)) for m in effects))
     measurements = hexagon_theory().measurements
     if spec in ("a", "b", "c"):

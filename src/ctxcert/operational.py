@@ -184,26 +184,23 @@ class OperationalTheory:
     @classmethod
     def from_json(cls, doc: dict, tol: float = VALIDITY_TOL) -> "OperationalTheory":
         preps, meas, transf = _json_tables(doc)
-        mixtures = [
-            MixtureDecl(
-                entry["kind"],
-                entry["target"],
-                tuple(
-                    (c["weight"], c["label"])
-                    for c in _json_entries(
-                        entry, "components", ("weight", "label"), f"mixture {entry['target']!r}"
-                    )
-                ),
-            )
-            for entry in _json_entries(doc, "mixtures", ("kind", "target", "components"))
-        ]
+        mixtures = []
+        for entry in _json_entries(doc, "mixtures", ("kind", "target", "components")):
+            target = entry["target"]
+            if not isinstance(target, str):
+                raise TypeError(f"theory field 'mixtures': target {target!r} is not a string")
+            where = f"mixture {target!r}"
+            components = _json_entries(entry, "components", ("weight", "label"), where)
+            weighted = tuple((c["weight"], c["label"]) for c in components)
+            mixtures.append(MixtureDecl(entry["kind"], target, weighted))
         return cls(preps, transf, meas, mixtures, tol=tol)
 
 
 def _json_tables(doc: dict) -> list[dict]:
     """The preparation, measurement and transformation tables of a theory
-    file, each label -> operator.  A label that is not a string raises
-    ``TypeError`` naming its field; a repeated label raises ``ValueError``."""
+    file, each label -> operator.  A label that is not a string, or an
+    operator entry of the wrong shape, raises ``TypeError`` naming the field
+    (and the label); a repeated label raises ``ValueError``."""
     builders = (
         ("preparations", "rho", lambda m: DensityOperator(matrix_from_json(m))),
         ("measurements", "effects", lambda es: Povm(tuple(map(Effect, map(matrix_from_json, es))))),
@@ -218,7 +215,12 @@ def _json_tables(doc: dict) -> list[dict]:
                 raise TypeError(f"theory field {field!r}: label {label!r} is not a string")
             if label in table:
                 raise ValueError(f"duplicate {field[:-1]} label {label!r}")
-            table[label] = build(entry[key])
+            try:
+                if not isinstance(entry[key], list):
+                    raise TypeError(f"expected a list, got {entry[key]!r}")
+                table[label] = build(entry[key])
+            except TypeError as exc:
+                raise TypeError(f"theory field {field!r}: {key} of {label!r}: {exc}") from None
         tables.append(table)
     return tables
 

@@ -335,4 +335,6 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise TypeError(f"expected a matrix as a list of rows, got {rows!r}")
     return np.array([[complex_from_json(p) for p in row] for row in rows], dtype=complex)

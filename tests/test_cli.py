@@ -306,10 +306,31 @@ class TestFeasibilityCommand:
                 9,
                 "theory field 'preparations': label 9 is not a string",
             ),
+            (
+                ("mixtures", 0, "target"),
+                ["aA"],
+                "theory field 'mixtures': target ['aA'] is not a string",
+            ),
+            (
+                ("measurements", 0, "effects"),
+                5,
+                "theory field 'measurements': effects of 'Ma': expected a list, got 5",
+            ),
+            (
+                ("transformations", 0, "kraus"),
+                5,
+                "theory field 'transformations': kraus of 'T0': expected a list, got 5",
+            ),
+            (
+                ("preparations", 0, "rho"),
+                5,
+                "theory field 'preparations': rho of 'a': expected a list, got 5",
+            ),
         ],
         ids=[
             "component", "target", "kind", "preparations", "mixtures", "repeated-preparation",
             "repeated-measurement", "repeated-transformation", "list-label", "number-label",
+            "list-target", "number-effects", "number-kraus", "number-rho",
         ],
     )
     def test_theory_error_names_the_mixture_or_field(
@@ -396,16 +417,30 @@ class TestSimulateCommand:
         assert "qubits only" in stderr
 
     @pytest.mark.parametrize(
-        "flag, doc",
+        "flag, doc, named",
         [
-            ("--prep", [{"weight": 1.0, "state": [["1", 0], [0, 0]]}]),
-            ("--prep", {"weight": 1.0, "state": [[1, 0], [0, 0]]}),
-            ("--povm", {"effects": [[[1, 0], [0, 0]]]}),
-            ("--prep", [{"weight": 1.0, "state": [[True, 0], [0, 0]]}]),
-            ("--prep", [{"weight": True, "state": [[1, 0], [0, 0]]}]),
+            ("--prep", [{"weight": 1.0, "state": [["1", 0], [0, 0]]}], "expected a number"),
+            (
+                "--prep",
+                {"weight": 1.0, "state": [[1, 0], [0, 0]]},
+                "{spec}: expected a list of objects with fields weight, state",
+            ),
+            ("--povm", {"effects": [[[1, 0], [0, 0]]]}, "expected a complex number"),
+            ("--prep", [{"weight": 1.0, "state": [[True, 0], [0, 0]]}], "expected a number"),
+            ("--prep", [{"weight": True, "state": [[1, 0], [0, 0]]}], "expected a number"),
+            ("--prep", [{"state": [[1, 0], [0, 0]]}], "{spec}: entry 0 has no field 'weight'"),
+            ("--prep", [5], "{spec}: entry 0 is not an object with fields weight, state"),
+            ("--prep", [{"weight": 1.0, "state": 5}], "{spec}: entry 0: field 'state' is not a list"),
+            ("--povm", {"effects": 5}, "{spec}: field 'effects' is not a list of matrices"),
+        ],
+        # The first five are the ids pytest generates for the cases without ``named``.
+        ids=[
+            "--prep-doc0", "--prep-doc1", "--povm-doc2", "--prep-doc3", "--prep-doc4",
+            "--prep-missing-weight", "--prep-number-entry", "--prep-number-state",
+            "--povm-number-effects",
         ],
     )
-    def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc):
+    def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc, named):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
         # The later occurrence of the flag overrides the earlier one.
@@ -413,6 +448,7 @@ class TestSimulateCommand:
         code, _, stderr = _run(capsys, "simulate-bb", *argv)
         assert code == 2
         assert stderr.startswith("error: ")
+        assert named.format(spec=f"{flag} @{path}") in stderr
 
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(
