@@ -317,6 +317,11 @@ class TestFeasibilityCommand:
                 "theory field 'measurements': effects of 'Ma': expected a list, got 5",
             ),
             (
+                ("measurements", 0, "effects"),
+                [5],
+                "theory field 'measurements': effects of 'Ma': expected a matrix as a list of rows",
+            ),
+            (
                 ("transformations", 0, "kraus"),
                 5,
                 "theory field 'transformations': kraus of 'T0': expected a list, got 5",
@@ -330,7 +335,7 @@ class TestFeasibilityCommand:
         ids=[
             "component", "target", "kind", "preparations", "mixtures", "repeated-preparation",
             "repeated-measurement", "repeated-transformation", "list-label", "number-label",
-            "list-target", "number-effects", "number-kraus", "number-rho",
+            "list-target", "number-effects", "number-effect", "number-kraus", "number-rho",
         ],
     )
     def test_theory_error_names_the_mixture_or_field(
