@@ -177,9 +177,9 @@ class TestSimulation:
             for povm in (antipodal_pvm, trine):
                 for seed in range(3):
                     rng = bbmodel._rng(seed)
-                    weights = np.cumsum([w for w, _ in prep.mixture])
+                    cumulative = np.cumsum([w for w, _ in prep.mixture])
                     comps = np.minimum(
-                        (rng.random(n)[:, None] >= weights).sum(axis=1), len(prep.mixture) - 1
+                        (rng.random(n)[:, None] >= cumulative).sum(axis=1), len(prep.mixture) - 1
                     )
                     u = rng.random(n)
                     table = np.column_stack(
