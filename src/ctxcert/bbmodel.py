@@ -169,9 +169,11 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     if n > MAX_SAMPLES:
         raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
     rng = _rng(seed)
-    comps = np.searchsorted(np.cumsum([w for w, _ in prep.mixture]), rng.random(n), side="right")
-    comps = np.minimum(comps, len(prep.mixture) - 1)
     u = rng.random(n)
+    comps = np.searchsorted(np.cumsum([w for w, _ in prep.mixture]), u, side="right")
+    comps = np.minimum(comps, len(prep.mixture) - 1)
+    # The outcome block overwrites the component block: one n-sample array fewer.
+    rng.random(out=u)
     # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
     counts = np.zeros(povm.outcome_count, dtype=np.int64)
     for k, (_, s) in enumerate(prep.mixture):
