@@ -183,6 +183,14 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
 # simulate-bb subcommand.
 
 
+def _read(where: str, read, value):
+    """``read(value)``, whose value errors name where the value sits."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _parse_prep_spec(spec: str) -> BBPreparation:
     vectors = hexagon_state_vectors()
     if spec.startswith("@"):
@@ -199,8 +207,13 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
                     raise InputError(f"{where} has no field {key!r}")
             if not isinstance(entry["state"], list):
                 raise InputError(f"{where}: field 'state' is not a list")
-            state = np.array([complex_from_json(z) for z in entry["state"]])
-            mixture.append((real_from_json(entry["weight"]), PureOnticState(state)))
+            weight = _read(f"{where}: field 'weight'", real_from_json, entry["weight"])
+            state = _read(
+                f"{where}: field 'state'",
+                lambda zs: np.array([complex_from_json(z) for z in zs]),
+                entry["state"],
+            )
+            mixture.append((weight, PureOnticState(state)))
         return BBPreparation(tuple(mixture))
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts:
@@ -224,7 +237,9 @@ def _parse_povm_spec(spec: str) -> Povm:
         effects = doc.get("effects") if isinstance(doc, dict) else doc
         if not isinstance(effects, list):
             raise InputError(f"--povm {spec}: field 'effects' is not a list of matrices")
-        return Povm(tuple(Effect(matrix_from_json(m)) for m in effects))
+        where = f"--povm {spec}: field 'effects', entry"
+        matrices = [_read(f"{where} {i}", matrix_from_json, m) for i, m in enumerate(effects)]
+        return Povm(tuple(Effect(m) for m in matrices))
     measurements = hexagon_theory().measurements
     if spec in ("a", "b", "c"):
         return measurements["M" + spec]

@@ -12,9 +12,9 @@ call, by exact integer double description.  Each zero pattern allowed by the
 complementarity pairs cuts a face of that cone, whose extreme rays are the
 cone's rays that vanish on the pattern's zeros; where the face is ``{0}``,
 stage 1 records a human-readable elimination derivation instead, read off
-one table of the form differences' signs.  Stage 2 asks (as a small linear
-program) whether nonnegative combinations of the collected rays can give
-every variable total mass exactly one; a yes is returned as an explicit
+one table of the form differences' signs.  Stage 2, an exact integer
+simplex, decides whether nonnegative combinations of the collected rays can
+give every variable total mass exactly one; a yes is returned as an explicit
 finite model, a no as the exhaustive case table.
 """
 
@@ -67,8 +67,8 @@ MAX_DISJOINT_PAIRS = 11
 #: machine); without it, such systems with n = 24 and 28 took 23 and 69 s.
 MAX_STAGE1_WORK = 4 * 10**9
 
-#: Tolerance of the stage-2 normalization check ("each distribution
-#: integrates to one").
+#: Tolerance of the float re-check of a Feasible witness (``_verify_witness``); stage 2 itself
+#: is exact, so this bounds only the rounding of the witness values to floats.
 NORMALIZATION_TOL = 1e-9
 
 #: Number of z-x pure states on which ``transf_nogo`` checks disjoint images.
@@ -440,12 +440,83 @@ def _derive_all_zero(
 # The certifier.
 
 
-def linprog(*args, **kwargs):
-    """Forward to ``scipy.optimize.linprog``, the stage-2 solver."""
-    # Deferred: importing scipy.optimize costs most of a cold start, and only stage 2 needs it.
-    from scipy.optimize import linprog as scipy_linprog
+def _lex_ratio_less(a: list[int], b: list[int], c: int, width: int) -> bool:
+    """Whether ``a[:width] / a[c]`` precedes ``b[:width] / b[c]`` lexicographically
+    (``a[c]`` and ``b[c]`` positive)."""
+    for x, y in zip(a[:width], b[:width]):
+        d = x * b[c] - y * a[c]
+        if d:
+            return d < 0
+    return False
 
-    return scipy_linprog(*args, **kwargs)
+
+@dataclass(frozen=True)
+class StageTwoResult:
+    """``status`` 0 with exact ray weights ``x``, or 2 when no nonnegative
+    weights exist; ``pivots`` counts the simplex pivots taken."""
+
+    status: int
+    x: tuple[Fraction, ...] | None
+    pivots: int
+
+
+def linprog(rays: Sequence[Sequence[Fraction]]) -> StageTwoResult:
+    """Exact phase-1 simplex for ``sum_j w_j * rays[j] = (1, ..., 1)``, ``w >= 0``,
+    over a nonempty list of rays of equal length.
+
+    Minimizes the sum of one artificial variable per row, from the artificial
+    basis; the system is feasible iff that minimum is exactly 0.  Rows are
+    integer and pivots fraction-free (Edmonds 1967): a row is cleared by
+    cross-multiplication with the positive pivot and divided by its gcd, so
+    every row keeps a positive scale and the signs read below are exact.  The
+    objective is one more such row.  Dantzig's rule picks the entering ray; the
+    lexicographic ratio test over (rhs, artificial columns) picks the leaving
+    row (Dantzig, Orden & Wolfe 1955), which rules out cycling.  An artificial
+    that leaves never re-enters: the restricted problem keeps every ray column,
+    so its minimum is 0 exactly when the system is feasible.
+
+    On the largest systems the bounds admit, the even 2k-gon takes 10 pivots and
+    5.5 ms at k = 8 (256 rays, a 23 ms certificate) and 12 pivots and 27 ms at
+    k = 10 (1024 rays, a 0.26 s certificate), against 5.6 and 13 ms for scipy's
+    HiGHS on the same programs (one CPU of a shared machine, Python 3.11).
+    """
+    # Ray j as an integer column c_j = lcm_j * ray_j; its weight is then lcm_j times c_j's.
+    lcms = [math.lcm(*(x.denominator for x in ray)) for ray in rays]
+    columns = [[x.numerator * (m // x.denominator) for x in ray] for m, ray in zip(lcms, rays)]
+    n_vars = len(rays[0])
+    first = 1 + n_vars  # tableau columns: rhs, the artificials, then the rays
+    rows = [
+        [1] + [int(i == a) for a in range(n_vars)] + [col[i] for col in columns]
+        for i in range(n_vars)
+    ]
+    # Reduced costs of the sum of the artificials, and minus its value.
+    objective = [-n_vars] + [0] * n_vars + [-sum(col) for col in columns]
+    basis = list(range(1, first))
+    pivots = 0
+    while True:
+        c = min(range(first, first + len(rays)), key=objective.__getitem__)
+        if objective[c] >= 0:
+            break
+        # Phase 1 is bounded below by 0, so a column with negative cost has a positive entry.
+        r = None
+        for i, row in enumerate(rows):
+            if row[c] > 0 and (r is None or _lex_ratio_less(row, rows[r], c, first)):
+                r = i
+        pivot, p = rows[r], rows[r][c]
+        for row in (*rows, objective):
+            if row is not pivot and row[c]:
+                new = [p * x - row[c] * y for x, y in zip(row, pivot)]
+                g = math.gcd(*new) or 1
+                row[:] = [x // g for x in new]
+        basis[r] = c
+        pivots += 1
+    if objective[0]:
+        return StageTwoResult(2, None, pivots)
+    x = [Fraction(0)] * len(rays)
+    for row, b in zip(rows, basis):
+        if b >= first:
+            x[b - first] = Fraction(row[0] * lcms[b - first], row[b])
+    return StageTwoResult(0, tuple(x), pivots)
 
 
 def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
@@ -494,41 +565,24 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
     if not rays:
         return Certificate("Infeasible", system, None, tuple(cases))
 
-    # Stage 2: nonnegative ray weights giving every variable total mass one.
-    matrix = np.array([[float(ray[i]) for ray in rays] for i in range(len(system.variables))])
-    target = np.ones(len(system.variables))
-    result = linprog(
-        c=np.zeros(len(rays)),
-        A_eq=matrix,
-        b_eq=target,
-        bounds=[(0, None)] * len(rays),
-        method="highs",
-    )
+    # Stage 2: nonnegative ray weights giving every variable total mass exactly one.
+    result = linprog(rays)
     if result.status == 2:  # proven infeasible
         return Certificate("Infeasible", system, None, tuple(cases))
-    if result.status != 0:
-        raise RuntimeError(f"normalization solve failed unexpectedly: {result.message}")
-
-    weights = np.maximum(result.x, 0.0)
-    used = [(w, ray) for w, ray in zip(weights, rays) if w > 1e-12]
-    total = sum(w * np.array([float(x) for x in ray]) for w, ray in used)
-    residual = float(np.abs(total - target).max())
-    if residual > NORMALIZATION_TOL:
-        raise RuntimeError(f"normalization residual {residual:.3e} exceeds {NORMALIZATION_TOL}")
-    witness = _witness_model(system, used)
+    witness = _witness_model(system, [(w, ray) for w, ray in zip(result.x, rays) if w])
     _verify_witness(system, witness, NORMALIZATION_TOL)
     return Certificate("Feasible", system, witness, tuple(cases))
 
 
 def _witness_model(
-    system: ConstraintSystem, used: list[tuple[float, tuple[Fraction, ...]]]
+    system: ConstraintSystem, used: list[tuple[Fraction, tuple[Fraction, ...]]]
 ) -> OntModel:
-    """One ontic point per surviving ray; each variable's values across the
-    points form its distribution."""
+    """One ontic point per weighted ray; each variable's values across the
+    points, each exact product rounded once to float, form its distribution."""
     space = OnticSpace(len(used))
     prep_map = {}
     for i, var in enumerate(system.variables):
-        weights = np.array([w * float(ray[i]) for w, ray in used])
+        weights = np.array([float(w * ray[i]) for w, ray in used])
         prep_map[var] = Distribution(weights)
     return OntModel(space=space, prep_map=prep_map)
 

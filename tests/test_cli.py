@@ -432,17 +432,31 @@ class TestSimulateCommand:
             ),
             ("--povm", {"effects": [[[1, 0], [0, 0]]]}, "expected a complex number"),
             ("--prep", [{"weight": 1.0, "state": [[True, 0], [0, 0]]}], "expected a number"),
-            ("--prep", [{"weight": True, "state": [[1, 0], [0, 0]]}], "expected a number"),
+            (
+                "--prep",
+                [{"weight": True, "state": [[1, 0], [0, 0]]}],
+                "{spec}: entry 0: field 'weight': expected a number, got True",
+            ),
             ("--prep", [{"state": [[1, 0], [0, 0]]}], "{spec}: entry 0 has no field 'weight'"),
             ("--prep", [5], "{spec}: entry 0 is not an object with fields weight, state"),
             ("--prep", [{"weight": 1.0, "state": 5}], "{spec}: entry 0: field 'state' is not a list"),
             ("--povm", {"effects": 5}, "{spec}: field 'effects' is not a list of matrices"),
+            (
+                "--prep",
+                [{"weight": 1.0, "state": ["x", [0, 0]]}],
+                "{spec}: entry 0: field 'state': expected a complex number as [re, im], got 'x'",
+            ),
+            (
+                "--povm",
+                {"effects": [5]},
+                "{spec}: field 'effects', entry 0: expected a matrix as a list of rows, got 5",
+            ),
         ],
         # The first five are the ids pytest generates for the cases without ``named``.
         ids=[
             "--prep-doc0", "--prep-doc1", "--povm-doc2", "--prep-doc3", "--prep-doc4",
             "--prep-missing-weight", "--prep-number-entry", "--prep-number-state",
-            "--povm-number-effects",
+            "--povm-number-effects", "--prep-string-amplitude", "--povm-number-effect",
         ],
     )
     def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc, named):
