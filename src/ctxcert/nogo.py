@@ -15,7 +15,8 @@ stage 1 records a human-readable elimination derivation instead, read off
 one table of the form differences' signs.  Stage 2, an exact integer
 simplex, decides whether nonnegative combinations of the collected rays can
 give every variable total mass exactly one; a yes is returned as an explicit
-finite model, a no as the exhaustive case table.
+finite model, a ``Witness`` table whose values are exact products of a ray
+weight and entry rounded once to float, a no as the exhaustive case table.
 """
 
 from __future__ import annotations
@@ -29,14 +30,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .kraus import decomposition_deviations
-from .ontomodel import Distribution, IndicatorSet, OnticSpace, OntModel, is_outcome_deterministic
-from .operational import (
-    OperationalTheory,
-    coin_flip_povm,
-    hexagon_state_vectors,
-    hexagon_theory,
-    prep_equivalent,
-)
+from .ontomodel import IndicatorSet, is_outcome_deterministic
+from .operational import OperationalTheory, coin_flip_povm, hexagon_theory, prep_equivalent
 from .qmath import (
     IDENTITY_TOL,
     PAULI_X,
@@ -217,12 +212,29 @@ class PremiseCheck:
 
 
 @dataclass(frozen=True)
+class Witness:
+    """A finite ontological model of a Feasible system: each variable's
+    probability at each of ``ontic_size`` ontic points, as floats."""
+
+    ontic_size: int
+    preparations: Mapping[str, tuple[float, ...]]
+
+    def to_json(self) -> dict:
+        return {
+            "ontic_size": self.ontic_size,
+            "preparations": {var: list(values) for var, values in self.preparations.items()},
+            "measurements": {},  # the model format's other tables, empty: they keep the bytes
+            "transformations": {},
+        }
+
+
+@dataclass(frozen=True)
 class Certificate:
-    """Feasibility verdict backed by either a witness model or a case table."""
+    """Feasibility verdict backed by either a ``Witness`` table or a case table."""
 
     verdict: str  # "Feasible" | "Infeasible"
     system: ConstraintSystem | None
-    witness: OntModel | None
+    witness: Witness | None
     cases: tuple[CaseRow, ...]
     premise_checks: tuple[PremiseCheck, ...] = ()
 
@@ -277,26 +289,28 @@ def _nullspace(rows: list[list[int]], n_cols: int) -> list[list[int]]:
     return basis
 
 
-def _equality_rows(system: ConstraintSystem) -> list[dict[str, Fraction]]:
-    """Differences "form 0 minus form i" whose pointwise vanishing encodes the
-    mutual equality of all forms."""
-    forms = system.form_dicts()
+def _integer_forms(system: ConstraintSystem) -> list[list[int]]:
+    """The equality forms over their common denominator, as dense integer rows."""
+    scale = math.lcm(*(c.denominator for form in system.equality_groups for _, c in form))
+    index = {v: i for i, v in enumerate(system.variables)}
     rows = []
-    for other in forms[1:]:
-        row = dict(forms[0])
-        for var, coeff in other.items():
-            row[var] = row.get(var, Fraction(0)) - coeff
-        rows.append({v: c for v, c in row.items() if c != 0})
+    for form in system.equality_groups:
+        row = [0] * len(index)
+        for v, c in form:
+            row[index[v]] = c.numerator * (scale // c.denominator)
+        rows.append(row)
     return rows
 
 
-def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[Fraction, ...]]:
-    """Extreme rays of ``{x >= 0 : equality rows hold}`` whose support holds no
-    disjoint pair, scaled to a first nonzero coordinate of 1, ordered by support size
-    and then by the support's increasing indices (a support fixes its ray up to scale).
+def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[int, ...]]:
+    """Extreme rays of ``{x >= 0 : all forms equal}`` whose support holds no
+    disjoint pair, as primitive integer vectors (nonnegative, gcd 1), ordered by
+    support size and then by the support's increasing indices (a support fixes its
+    ray up to scale).
 
     Double description over the integers (Fukuda & Prodon 1996): from the orthant's
-    unit rays, cut by one equality row at a time.  Rays on the row are kept; a positive
+    unit rays, cut by one equality row at a time, the integer difference of form 0 and
+    form i over the forms' common denominator.  Rays on the row are kept; a positive
     ray p and a negative ray q whose support union holds no other ray's support are
     adjacent and give ``v(p)*q - v(q)*p``, divided by its gcd.  Its support is that
     union, so rays holding a pair have no pair-free descendant and are never made; as
@@ -314,9 +328,9 @@ def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[Fraction, ...]
         partners[index[v]] |= 1 << index[u]
     # A ray is its support, the partners of its support and its integer coordinates.
     rays = [(1 << i, partners[i], [int(i == j) for j in range(n)]) for i in range(n)]
-    for cut, row in enumerate(_equality_rows(system)):
-        scale = math.lcm(*(c.denominator for c in row.values()))
-        coeffs = [(index[v], int(c * scale)) for v, c in row.items()]
+    forms = _integer_forms(system)
+    for cut, other in enumerate(forms[1:]):
+        coeffs = [(i, a - b) for i, (a, b) in enumerate(zip(forms[0], other)) if a != b]
         values = [sum(c * vec[i] for i, c in coeffs) for _, _, vec in rays]
         positive = [(ray, x) for ray, x in zip(rays, values) if x > 0]
         negative = [(ray, x) for ray, x in zip(rays, values) if x < 0]
@@ -341,11 +355,7 @@ def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[Fraction, ...]
                 kept.append((union, p_partners | q_partners, [x // g for x in vec]))
         rays = kept
     rays.sort(key=lambda ray: (ray[0].bit_count(), [i for i in range(n) if ray[0] >> i & 1]))
-    out = []
-    for _, _, vec in rays:
-        first = next(x for x in vec if x)
-        out.append(tuple(Fraction(x, first) for x in vec))
-    return out
+    return [tuple(vec) for _, _, vec in rays]
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +470,9 @@ class StageTwoResult:
     pivots: int
 
 
-def linprog(rays: Sequence[Sequence[Fraction]]) -> StageTwoResult:
+def linprog(rays: Sequence[Sequence[int]]) -> StageTwoResult:
     """Exact phase-1 simplex for ``sum_j w_j * rays[j] = (1, ..., 1)``, ``w >= 0``,
-    over a nonempty list of rays of equal length.
+    over a nonempty list of integer rays of equal length.
 
     Minimizes the sum of one artificial variable per row, from the artificial
     basis; the system is feasible iff that minimum is exactly 0.  Rows are
@@ -480,17 +490,14 @@ def linprog(rays: Sequence[Sequence[Fraction]]) -> StageTwoResult:
     k = 10 (1024 rays, a 0.26 s certificate), against 5.6 and 13 ms for scipy's
     HiGHS on the same programs (one CPU of a shared machine, Python 3.11).
     """
-    # Ray j as an integer column c_j = lcm_j * ray_j; its weight is then lcm_j times c_j's.
-    lcms = [math.lcm(*(x.denominator for x in ray)) for ray in rays]
-    columns = [[x.numerator * (m // x.denominator) for x in ray] for m, ray in zip(lcms, rays)]
     n_vars = len(rays[0])
     first = 1 + n_vars  # tableau columns: rhs, the artificials, then the rays
     rows = [
-        [1] + [int(i == a) for a in range(n_vars)] + [col[i] for col in columns]
+        [1] + [int(i == a) for a in range(n_vars)] + [ray[i] for ray in rays]
         for i in range(n_vars)
     ]
     # Reduced costs of the sum of the artificials, and minus its value.
-    objective = [-n_vars] + [0] * n_vars + [-sum(col) for col in columns]
+    objective = [-n_vars] + [0] * n_vars + [-sum(ray) for ray in rays]
     basis = list(range(1, first))
     pivots = 0
     while True:
@@ -515,7 +522,7 @@ def linprog(rays: Sequence[Sequence[Fraction]]) -> StageTwoResult:
     x = [Fraction(0)] * len(rays)
     for row, b in zip(rows, basis):
         if b >= first:
-            x[b - first] = Fraction(row[0] * lcms[b - first], row[b])
+            x[b - first] = Fraction(row[0], row[b])
     return StageTwoResult(0, tuple(x), pivots)
 
 
@@ -538,13 +545,12 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
     index = {v: b for b, v in enumerate(system.variables)}
     # The table _derive_all_zero reads: for each form pair (i, j), the variables where
     # form i minus form j is positive and where it is negative; each form's support.
-    scale = math.lcm(*(c.denominator for form in system.equality_groups for _, c in form))
-    forms = [{index[v]: int(c * scale) for v, c in form} for form in system.equality_groups]
+    forms = _integer_forms(system)
     signs = {}
     for i, j in itertools.combinations(range(len(forms)), 2):
-        diff = [forms[i].get(b, 0) - forms[j].get(b, 0) for b in range(len(index))]
+        diff = [a - b for a, b in zip(forms[i], forms[j])]
         signs[i, j] = tuple(sum(1 << b for b, d in enumerate(diff) if s * d > 0) for s in (1, -1))
-    table = (signs, [sum(1 << b for b in form) for form in forms])
+    table = (signs, [sum(1 << b for b, c in enumerate(form) if c) for form in forms])
     supports = [sum(1 << b for b, x in enumerate(ray) if x) for ray in all_rays]
     cases: list[CaseRow] = []
     used: dict[int, None] = {}  # indices into all_rays, in order of first use
@@ -553,8 +559,10 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
         zeros = sum(1 << index[v] for v in forced)
         pattern_rays = [i for i, sup in enumerate(supports) if not sup & zeros]
         if pattern_rays:
-            first = tuple(str(x) for x in all_rays[pattern_rays[0]])
-            cases.append(CaseRow(bits, tuple(sorted(forced)), "ray", ray=first))
+            vec = all_rays[pattern_rays[0]]
+            f = next(x for x in vec if x)  # the row shows the ray with first nonzero entry 1
+            ray = tuple(str(Fraction(x, f)) if x % f else str(x // f) for x in vec)
+            cases.append(CaseRow(bits, tuple(sorted(forced)), "ray", ray=ray))
             used.update(dict.fromkeys(pattern_rays))
         else:
             complete, steps = _derive_all_zero(system, forced, table)
@@ -575,34 +583,35 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
 
 
 def _witness_model(
-    system: ConstraintSystem, used: list[tuple[Fraction, tuple[Fraction, ...]]]
-) -> OntModel:
-    """One ontic point per weighted ray; each variable's values across the
-    points, each exact product rounded once to float, form its distribution."""
-    space = OnticSpace(len(used))
-    prep_map = {}
-    for i, var in enumerate(system.variables):
-        weights = np.array([float(w * ray[i]) for w, ray in used])
-        prep_map[var] = Distribution(weights)
-    return OntModel(space=space, prep_map=prep_map)
+    system: ConstraintSystem, used: list[tuple[Fraction, tuple[int, ...]]]
+) -> Witness:
+    """One ontic point per weighted ray.  A variable's value at a point is the
+    exact product ``w * ray[i]`` rounded once to float: int / int true division
+    is correctly rounded, where a float multiply would round twice."""
+    preparations = {
+        var: tuple(ray[i] * w.numerator / w.denominator for w, ray in used)
+        for i, var in enumerate(system.variables)
+    }
+    return Witness(len(used), preparations)
 
 
-def _verify_witness(system: ConstraintSystem, witness: OntModel, tol: float) -> None:
-    """Re-check the witness against the system it claims to satisfy."""
-    values = {v: witness.prep_map[v].weights for v in system.variables}
+def _verify_witness(system: ConstraintSystem, witness: Witness, tol: float) -> None:
+    """Re-check the witness against the system it claims to satisfy, in floats."""
+    values = witness.preparations
+    points = range(witness.ontic_size)
+    if any(len(values[var]) != len(points) for var in system.variables):
+        raise RuntimeError(f"witness values do not cover its {len(points)} ontic points")
     worst = 0.0
-    for u, v in system.disjoint_pairs:
-        worst = max(worst, float((values[u] * values[v]).max()))
-    forms = system.form_dicts()
-    if forms:
-        evaluated = [
-            sum(float(c) * values[v] for v, c in form.items()) if form else np.zeros(witness.space.size)
-            for form in forms
-        ]
-        for other in evaluated[1:]:
-            worst = max(worst, float(np.abs(evaluated[0] - other).max()))
     for var in system.variables:
-        worst = max(worst, abs(float(values[var].sum()) - 1.0))
+        worst = max(worst, abs(sum(values[var]) - 1.0), -min(values[var]))
+    for u, v in system.disjoint_pairs:
+        worst = max(worst, *(a * b for a, b in zip(values[u], values[v])))
+    evaluated = []
+    for form in system.equality_groups:
+        terms = [(float(c), values[var]) for var, c in form]
+        evaluated.append([sum(c * column[p] for c, column in terms) for p in points])
+    for other in evaluated[1:]:
+        worst = max(worst, *(abs(a - b) for a, b in zip(evaluated[0], other)))
     if worst > tol:
         raise RuntimeError(f"witness deviates from its system by {worst:.3e}")
 
@@ -717,8 +726,9 @@ class ForcedIndicator:
         return IndicatorSet(np.array(self.values).reshape(-1, 1))
 
 
-def trivial_povm_forced_indicator() -> ForcedIndicator:
-    """Derive the forced representation of the coin-flip measurement twice.
+def trivial_povm_forced_indicator(coin: Povm | None = None) -> ForcedIndicator:
+    """Derive the forced representation of the coin-flip measurement ``coin``
+    (``coin_flip_povm()`` when not given) twice.
 
     (a) Its outcome statistics are independent of the prepared state, since
     ``Tr(rho I/2) = 1/2`` for every state, so each indicator function is the
@@ -727,7 +737,7 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
     satisfy ``xi_1 = xi_2`` alongside ``xi_1 + xi_2 = 1``.  Both derivations
     must agree.
     """
-    half_identity = coin_flip_povm()[0]
+    half_identity = (coin_flip_povm() if coin is None else coin)[0]
     # For the state with Bloch vector r, Tr(rho E) = (tr E + r . (tr XE, tr YE, tr ZE)) / 2,
     # so over the whole Bloch ball it strays from 1/2 by at most this much.
     m = half_identity.matrix
@@ -735,7 +745,7 @@ def trivial_povm_forced_indicator() -> ForcedIndicator:
     dev = (abs(np.trace(m) - 1.0) + float(np.linalg.norm(pauli_traces))) / 2
     if dev > IDENTITY_TOL:
         raise VerificationError(f"coin-flip statistics depend on the state (dev {dev:.3e})")
-    born = born_probability(pure_density(hexagon_state_vectors()["a"]), half_identity)
+    born = born_probability(pure_density((1.0, 0.0)), half_identity)  # the hexagon's state a
     by_independence = (born, 1.0 - born)
 
     # Exact solve of xi_1 - xi_2 = 0, xi_1 + xi_2 = 1: the kernel (xi_1, xi_2, 1) up to scale.
@@ -766,7 +776,7 @@ def meas_nogo() -> Certificate:
     coin = theory.measurements["Mtrivial"]
     mixed = theory.measurements["M"]
     povm_dev = max(float(np.abs(mixed[k].matrix - coin[k].matrix).max()) for k in range(2))
-    forced = trivial_povm_forced_indicator()
+    forced = trivial_povm_forced_indicator(coin)
     checks = (
         PremiseCheck("mixed-povm-equals-coin-povm", povm_dev),
         PremiseCheck("forced-coin-indicator", max(abs(v - 0.5) for v in forced.values)),
@@ -819,8 +829,8 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
     """Outcome determinism for unsharp measurements contradicts measurement
     noncontextuality: the coin-flip POVM's forced constant representation is
     not idempotent."""
-    forced = trivial_povm_forced_indicator()
     coin = coin_flip_povm()
+    forced = trivial_povm_forced_indicator(coin)
     deterministic = is_outcome_deterministic(forced.indicator_set())
     return OdUnsharpReport(
         povm=coin,

@@ -97,16 +97,6 @@ class OntModel:
             if xi.size != n:
                 raise ValueError(f"indicator set {label!r} lives on the wrong space")
 
-    def to_json(self) -> dict:
-        return {
-            "ontic_size": self.space.size,
-            "preparations": {l: list(map(float, mu.weights)) for l, mu in self.prep_map.items()},
-            "measurements": {
-                l: [list(map(float, row)) for row in xi.values] for l, xi in self.meas_map.items()
-            },
-            "transformations": {},  # a model holds none; the key keeps witness bytes fixed
-        }
-
 
 # ---------------------------------------------------------------------------
 # The prediction rule and pointwise structure.

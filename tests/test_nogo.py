@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -115,6 +116,12 @@ def _sha256(cert) -> str:
     return hashlib.sha256(json.dumps(cert.to_json(), indent=2).encode()).hexdigest()
 
 
+def _first_one(ray) -> tuple[Fraction, ...]:
+    """A ray scaled so that its first nonzero entry is 1."""
+    first = next(x for x in ray if x)
+    return tuple(Fraction(x) / first for x in ray)
+
+
 def _counting(monkeypatch, name: str) -> list:
     """Replace ``nogo.<name>`` by a wrapper that records each call's arguments."""
     calls, original = [], getattr(nogo, name)
@@ -209,19 +216,16 @@ class TestPointwiseFeasibility:
         )
         cert = pointwise_feasibility(system)
         assert cert.feasible
-        assert cert.witness.space.size == 2
-        masses = {
-            label: sorted(map(float, cert.witness.prep_map[label].weights))
-            for label in ("a", "A")
-        }
+        assert cert.witness.ontic_size == 2
+        masses = {label: sorted(cert.witness.preparations[label]) for label in ("a", "A")}
         assert masses["a"] == [0.0, 1.0]
         assert masses["A"] == [0.0, 1.0]
 
     def test_unconstrained_single_variable_has_one_point_witness(self):
         cert = pointwise_feasibility(ConstraintSystem(("x",)))
         assert cert.feasible
-        assert cert.witness.space.size == 1
-        assert list(cert.witness.prep_map["x"].weights) == [1.0]
+        assert cert.witness.ontic_size == 1
+        assert list(cert.witness.preparations["x"]) == [1.0]
 
     def test_no_variables_is_an_error(self):
         with pytest.raises(ValueError):
@@ -336,7 +340,7 @@ class TestStageOne:
 
     def test_each_pattern_gets_the_full_cone_rays_avoiding_its_zeros(self):
         system = _polygon_system(4)
-        rays = nogo._pattern_extreme_rays(system)
+        rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system)]
         for row in pointwise_feasibility(system).cases:
             face = [
                 r for r in rays if all(r[system.variables.index(v)] == 0 for v in row.zeroed)
@@ -375,7 +379,7 @@ class TestStageOne:
         ]
         several = 0
         for system in systems:
-            rays = nogo._pattern_extreme_rays(system)
+            rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system)]
             assert rays == pair_free_extreme_rays(system), system.to_json()
             several += len(rays) > 1
         assert several >= 100
@@ -630,7 +634,7 @@ class TestOracleAgreement:
             cert = pointwise_feasibility(system)
             if not cert.feasible:
                 continue
-            values = {v: cert.witness.prep_map[v].weights for v in system.variables}
+            values = {v: np.array(cert.witness.preparations[v]) for v in system.variables}
             for var in system.variables:
                 assert values[var].sum() == pytest.approx(1.0, abs=1e-9)
             for u, v in system.disjoint_pairs:
@@ -639,7 +643,7 @@ class TestOracleAgreement:
             evaluated = [
                 sum(float(c) * values[v] for v, c in f.items())
                 if f
-                else np.zeros(cert.witness.space.size)
+                else np.zeros(cert.witness.ontic_size)
                 for f in forms
             ]
             for other in evaluated[1:]:
@@ -727,6 +731,75 @@ class TestExactStageTwo:
         _check_exact_solve(rays, result)
 
 
+class TestWitness:
+    """A Feasible witness is a table of floats, each one exact product rounded once,
+    and the pure-Python re-check refuses a table that misses its system."""
+
+    @staticmethod
+    def _systems():
+        for seed, family in ((3, {}), (2026, dict(max_vars=9, max_pairs=4, max_forms=4))):
+            rng = np.random.default_rng(seed)
+            for _ in range(300):
+                yield random_system(rng, **family)
+        yield from (_polygon_system(k) for k in range(2, 9, 2))
+        # Weight 1/9 on a ray with entry 7, where float(1/9) * 7 would round twice.
+        yield ConstraintSystem(
+            ("v0", "v1", "v2"), (), ({"v0": "1/3", "v1": 3, "v2": "2/3"}, {"v0": 1, "v2": 3})
+        )
+
+    def test_each_value_is_the_exact_product_rounded_once(self, monkeypatch):
+        solves = _recording_linprog(monkeypatch)
+        checked = 0
+        for system in self._systems():
+            cert = pointwise_feasibility(system)
+            if not cert.feasible:
+                continue
+            rays, result = solves[-1]
+            used = [(w, ray) for w, ray in zip(result.x, rays) if w]
+            assert cert.witness.ontic_size == len(used)
+            for i, var in enumerate(system.variables):
+                exact = [float(Fraction(w) * Fraction(ray[i])).hex() for w, ray in used]
+                assert [x.hex() for x in cert.witness.preparations[var]] == exact
+            checked += 1
+        assert checked >= 200
+
+    @staticmethod
+    def _refused(system, witness) -> None:
+        with pytest.raises(RuntimeError, match="witness"):
+            nogo._verify_witness(system, witness, nogo.NORMALIZATION_TOL)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_a_value_nudged_by_a_millionth_is_refused(self, k):
+        system = _polygon_system(k)
+        witness = pointwise_feasibility(system).witness
+        for var in system.variables:
+            values = witness.preparations[var]
+            nudged = {**witness.preparations, var: values[:-1] + (values[-1] + 1e-6,)}
+            self._refused(system, replace(witness, preparations=nudged))
+
+    def test_weight_on_both_members_of_a_pair_is_refused(self):
+        # No forms: only the pair check sees A's mass spread over both of a's points.
+        system = ConstraintSystem(("a", "A"), (("a", "A"),))
+        witness = pointwise_feasibility(system).witness
+        assert sorted(witness.preparations.values()) == [(0.0, 1.0), (1.0, 0.0)]
+        nogo._verify_witness(system, witness, nogo.NORMALIZATION_TOL)
+        spread = {**witness.preparations, "A": (0.5, 0.5)}
+        self._refused(system, replace(witness, preparations=spread))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_a_point_dropped_from_every_variable_is_refused(self, k):
+        system = _polygon_system(k)
+        witness = pointwise_feasibility(system).witness
+        for point in range(witness.ontic_size):
+            kept = {
+                var: values[:point] + values[point + 1 :]
+                for var, values in witness.preparations.items()
+            }
+            self._refused(system, replace(witness, preparations=kept))
+            smaller = replace(witness, ontic_size=witness.ontic_size - 1, preparations=kept)
+            self._refused(system, smaller)
+
+
 class TestMinimalityProbe:
     """Exact minimality behavior of the preparation system.
 
@@ -782,6 +855,7 @@ class TestGoldenCertificates:
         5: "91677645107d73c36acf7f8e0ad34d19527341ebcf17f02e0d842f7788f839f7",
         6: "fd1fb6322e65bae5b88dda27bf168fafb33a41c471bac51784295ecb158218f6",
         7: "b78ebf772ac16d525eefcadb448364db17a0ef784be6b67eb279a4e46133733a",
+        8: "d03417d1e1e0a033894c27cb1232bd0bd81cd8a937a25c06c2900adf76755b1a",
     }
 
     @pytest.mark.parametrize("k", sorted(POLYGON))

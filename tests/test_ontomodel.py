@@ -238,11 +238,3 @@ class TestValidationAndJson:
     def test_model_size_consistency_enforced(self):
         with pytest.raises(ValueError):
             OntModel(OnticSpace(3), prep_map={"a": _delta(0, 2)})
-
-    def test_to_json_writes_every_map(self):
-        assert _two_point_model().to_json() == {
-            "ontic_size": 2,
-            "preparations": {"a": [1.0, 0.0], "A": [0.0, 1.0]},
-            "measurements": {"Ma": [[1.0, 0.0], [0.0, 1.0]]},
-            "transformations": {},
-        }
