@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -235,3 +237,55 @@ class TestStructuralDemonstrations:
             assert bb_indicator(mixed, state) == pytest.approx(
                 bb_indicator(coin, state), abs=1e-12
             )
+
+
+def _digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(json.dumps(report.to_json(), indent=2).encode())
+    return digest.hexdigest()
+
+
+class TestPinnedOutputs:
+    """Report bytes over many seeds and shapes, pinned by sha256, so a
+    rewrite of either driver must keep every bit of its output."""
+
+    def test_meas_noncontextuality_reports(self):
+        reports = (bb_meas_noncontextuality_property(100, seed) for seed in range(30))
+        assert _digest(reports) == (
+            "b4ac0ac38dc552a009f616fc39e039dae4bcc304eabc12cc7171f2f5a76d1bce"
+        )
+
+    def test_simulation_reports(self, vectors):
+        """One, two and three components (0.7/0.2/0.1 has a float cumsum of
+        1 - 2**-53) against two-, three- and 100-outcome POVMs."""
+        mixtures = [
+            ((1.0, "b"),),
+            ((0.3, "a"), (0.7, "C")),
+            ((0.1, "a"), (0.2, "b"), (0.7, "C")),
+            ((0.7, "A"), (0.2, "c"), (0.1, "B")),
+        ]
+        angles = np.linspace(0.0, np.pi, 50, endpoint=False)
+        hundred = [
+            Effect(pure_density(v).matrix / 50)
+            for theta in angles
+            for v in ([np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)])
+        ]
+        povms = [
+            Povm(tuple(Effect(pure_density(vectors[x]).matrix) for x in "bB")),
+            Povm(tuple(Effect(2 / 3 * pure_density(vectors[x]).matrix) for x in "abc")),
+            Povm(tuple(hundred)),
+        ]
+        preps = [
+            BBPreparation(tuple((w, PureOnticState(vectors[x])) for w, x in mixture))
+            for mixture in mixtures
+        ]
+        reports = (
+            bb_simulate(prep, povm, 100_001, seed)
+            for prep in preps
+            for povm in povms
+            for seed in (0, 1, 2)
+        )
+        assert _digest(reports) == (
+            "63e8283ba5c0a7aedccc25dd365d698be253c4af6960a2bc2ae9d9ad641a752f"
+        )
