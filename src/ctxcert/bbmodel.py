@@ -10,7 +10,9 @@ and is demonstrably preparation-contextual.
 ``bb_simulate`` samples with the counter-based Philox generator and an
 explicit seed, so every simulated stream is a pure function of
 ``(seed, n)``; component and outcome draws use inverse-CDF lookups, in
-declaration and outcome order.
+declaration and outcome order.  ``bb_meas_noncontextuality_property`` draws
+every trial's normals and uniforms first, in the order its docstring gives,
+then builds, checks and evaluates all trials at once as numpy stacks.
 """
 
 from __future__ import annotations
@@ -25,12 +27,16 @@ from .qmath import (
     IDENTITY_TOL,
     VALIDITY_TOL,
     DensityOperator,
-    Effect,
     Povm,
-    born_probability,
+    born_probabilities,
+    check_densities,
+    check_effects,
+    check_povms,
     frozen_array,
     matrix_to_json,
+    normalized,
     pure_density,
+    vector_norm,
 )
 
 #: Ray comparison tolerance after canonical phase fixing.
@@ -46,6 +52,14 @@ MAX_SAMPLES = 2 * 10**7
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def canonical_rays(v: np.ndarray) -> np.ndarray:
+    """``normalized(v)``, each vector rotated so its first component of modulus
+    above ``RAY_TOL`` is real and positive, with negative zeros collapsed."""
+    v = normalized(v)
+    leading = np.take_along_axis(v, np.argmax(np.abs(v) > RAY_TOL, axis=-1)[..., None], axis=-1)
+    return v * (leading.conj() / np.hypot(leading.real, leading.imag)) + (0.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -65,14 +79,7 @@ class PureOnticState:
         v = frozen_array(self.psi).reshape(-1)
         if v.shape != (2,):
             raise ValueError("a qubit ontic state has exactly two components")
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > VALIDITY_TOL:
-            raise ValueError(f"state vector must be normalized, got norm {norm}")
-        v = v / norm
-        leading = v[np.flatnonzero(np.abs(v) > RAY_TOL)[0]]
-        v = v * (leading.conjugate() / abs(leading))
-        v = v + (0.0 + 0.0j)  # collapse negative zeros
-        object.__setattr__(self, "psi", frozen_array(v))
+        object.__setattr__(self, "psi", frozen_array(canonical_rays(v)))
         object.__setattr__(self, "rho", pure_density(self.psi))
 
     def same_ray(self, other: "PureOnticState") -> bool:
@@ -116,7 +123,7 @@ def bb_indicator(povm: Povm, psi: PureOnticState) -> np.ndarray:
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
-    return np.array([born_probability(psi.rho, e) for e in povm.effects])
+    return born_probabilities(psi.rho.matrix, np.array([e.matrix for e in povm.effects]))
 
 
 @dataclass(frozen=True)
@@ -170,18 +177,20 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
         raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
     rng = _rng(seed)
     u = rng.random(n)
-    comps = np.searchsorted(np.cumsum([w for w, _ in prep.mixture]), u, side="right")
-    comps = np.minimum(comps, len(prep.mixture) - 1)
+    # Each inverse-CDF lookup drops the last bound, so a cumsum short of 1 picks the last
+    # entry.  With one component every sample is its own: no lookup, no copy.
+    weights = np.cumsum([w for w, _ in prep.mixture])[:-1]
+    comps = np.searchsorted(weights, u, side="right") if weights.size else None
     # The outcome block overwrites the component block: one n-sample array fewer.
     rng.random(out=u)
     # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
     counts = np.zeros(povm.outcome_count, dtype=np.int64)
     for k, (_, s) in enumerate(prep.mixture):
-        cum = np.cumsum(bb_indicator(povm, s))
-        picks = np.searchsorted(cum, u[comps == k], side="right")
-        counts += np.bincount(np.minimum(picks, povm.outcome_count - 1), minlength=len(counts))
+        bounds = np.cumsum(bb_indicator(povm, s))[:-1]
+        picks = np.searchsorted(bounds, u if comps is None else u[comps == k], side="right")
+        counts += np.bincount(picks, minlength=len(counts))
     freqs = counts / n
-    born = np.array([born_probability(prep.density(), e) for e in povm.effects])
+    born = born_probabilities(prep.density().matrix, np.array([e.matrix for e in povm.effects]))
     return SimulationReport(
         prep=prep,
         povm=povm,
@@ -273,55 +282,47 @@ class MeasNoncontextualityReport:
         }
 
 
-def _random_effect(rng: np.random.Generator) -> np.ndarray:
-    """Hermitian matrix with eigenvalues strictly inside (0, 1)."""
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(g)
-    eigs = rng.uniform(0.1, 0.9, size=2)
-    return q @ np.diag(eigs) @ q.conj().T
-
-
-def _random_hermitian(rng: np.random.Generator) -> np.ndarray:
-    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    return (g + g.conj().T) / 2
-
-
-def _balanced_decomposition(
-    e1: np.ndarray, rng: np.random.Generator
-) -> tuple[Povm, Povm]:
-    """Two POVMs whose equal mixture has first element ``e1``."""
-    e2 = np.eye(2) - e1
-    d = _random_hermitian(rng)
-    spread = float(np.abs(np.linalg.eigvalsh(d)).max())
-    room = min(np.linalg.eigvalsh(e1).min(), np.linalg.eigvalsh(e2).min())
-    t = 0.9 * room / max(spread, 1e-12)
-    plus = Povm((Effect(e1 + t * d), Effect(e2 - t * d)))
-    minus = Povm((Effect(e1 - t * d), Effect(e2 + t * d)))
-    return plus, minus
-
-
 def bb_meas_noncontextuality_property(trials: int = 100, seed: int = 7) -> MeasNoncontextualityReport:
     """Check that the model's response functions depend only on the summed
     POVM: for random pairs of distinct equal-weight decompositions of the
     same two-outcome POVM, the mixed response functions agree exactly (by
-    linearity of the trace) on random ontic states."""
+    linearity of the trace) on random ontic states.
+
+    Each trial draws, in this order: 8 normals for a complex Gaussian matrix
+    whose QR factor diagonalizes the effect ``E``, 2 uniforms in (0.1, 0.9)
+    for its spectrum, 8 normals for each of the two decompositions'
+    Hermitian directions ``D`` in ``{E +- tD, I - E -+ tD}``, and 4 normals
+    for each of three ontic states.  All trials are then built, checked by the
+    ``qmath`` helpers the constructors use, and evaluated as numpy stacks.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     rng = _rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        e1 = _random_effect(rng)
-        povm = Povm((Effect(e1), Effect(np.eye(2) - e1)))
-        context_a = _balanced_decomposition(e1, rng)
-        context_b = _balanced_decomposition(e1, rng)
-        for _ in range(3):
-            g = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi = PureOnticState(g / np.linalg.norm(g))
-            direct = bb_indicator(povm, psi)
-            via_a = 0.5 * (bb_indicator(context_a[0], psi) + bb_indicator(context_a[1], psi))
-            via_b = 0.5 * (bb_indicator(context_b[0], psi) + bb_indicator(context_b[1], psi))
-            worst = max(
-                worst,
-                float(np.abs(via_a - via_b).max()),
-                float(np.abs(via_a - direct).max()),
-                float(np.abs(via_b - direct).max()),
-            )
-    return MeasNoncontextualityReport(trials=trials, seed=seed, max_abs_dev=worst)
+    normals, uniforms = np.empty((trials, 9, 2, 2)), np.empty((trials, 2))
+    for row, u in zip(normals.reshape(trials, 36), uniforms):
+        rng.standard_normal(out=row[:8])
+        rng.random(out=u)
+        rng.standard_normal(out=row[8:])
+    g = normals[:, 0:6:2] + 1j * normals[:, 1:6:2]
+    q = np.linalg.qr(g[:, 0]).Q
+    e1 = q @ ((0.1 + (0.9 - 0.1) * uniforms)[:, None, :] * np.eye(2)) @ q.conj().swapaxes(-1, -2)
+    e2 = np.eye(2) - e1
+    d = (g[:, 1:] + g[:, 1:].conj().swapaxes(-1, -2)) / 2
+    # Each decomposition steps 0.9 of the way to the nearest spectrum edge of E or I - E.
+    spread = np.abs(np.linalg.eigvalsh(d)).max(axis=-1)
+    room = np.linalg.eigvalsh(np.stack([e1, e2], axis=1)).min(axis=(1, 2))
+    td = (0.9 * room[:, None] / np.maximum(spread, 1e-12))[..., None, None] * d
+    e1, e2 = e1[:, None], e2[:, None]
+    # Per trial: the POVM, then the two plus and the two minus decompositions.
+    povms = np.stack([np.concatenate([e1, e1 + td, e1 - td], axis=1),
+                      np.concatenate([e2, e2 - td, e2 + td], axis=1)], axis=2)
+    check_effects(povms)
+    check_povms(povms)
+    states = normals[:, 6:, 0] + 1j * normals[:, 6:, 1]
+    v = normalized(canonical_rays(states / vector_norm(states)[..., None]))
+    rho = v[..., :, None] * v.conj()[..., None, :]
+    check_densities(rho)
+    p = born_probabilities(rho[:, :, None, None], povms[:, None])
+    direct, via = p[:, :, 0], 0.5 * (p[:, :, 1:3] + p[:, :, 3:5])
+    worst = max(np.abs(via[:, :, 0] - via[:, :, 1]).max(), np.abs(via - direct[:, :, None]).max())
+    return MeasNoncontextualityReport(trials=trials, seed=seed, max_abs_dev=float(worst))

@@ -1,13 +1,16 @@
 """Dense complex matrix algebra for finite-dimensional quantum objects.
 
 Density operators, POVM effects, Kraus channels, Bloch-vector geometry and
-Choi matrices, plus the scalar operations (Born rule, Hermitian spectra,
-channel application) that the rest of the toolkit is built on.  All values
-are immutable after construction and safe for unrestricted concurrent reads.
+Choi matrices, plus the operations (Born rule, Hermitian spectra, channel
+application) that the rest of the toolkit is built on.  All values are
+immutable after construction and safe for unrestricted concurrent reads.
 
 Each validated type checks its invariant in its constructor and nowhere
-else.  Matrices that are valid by construction from validated values (Choi
-matrices, raw channel images) are returned as read-only arrays, unchecked.
+else, through ``check_effects``, ``check_povms``, ``check_densities`` and
+``normalized``; these and ``born_probabilities`` also take numpy stacks, so
+a batch of operators is checked by the same code.  Matrices that are valid by
+construction from validated values (Choi matrices, raw channel images) are
+returned as read-only arrays, unchecked.
 
 JSON convention shared by every module in this package: a complex number
 serializes as a two-element array ``[re, im]``, and a matrix as a row-major
@@ -54,11 +57,49 @@ def as_cmatrix(entries, dim: int | None = None) -> np.ndarray:
 
 
 def hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of ``m``; raises ``ValueError`` (naming
-    ``what``) unless ``m`` is Hermitian entrywise within ``VALIDITY_TOL``."""
-    if np.abs(m - m.conj().T).max() > VALIDITY_TOL:
+    """Eigenvalues of the Hermitian part of ``m``, a matrix or a stack; raises ``ValueError``
+    (naming ``what``) unless each is Hermitian entrywise within ``VALIDITY_TOL``."""
+    mh = m.conj().swapaxes(-1, -2)
+    if not np.abs(m - mh).max() <= VALIDITY_TOL:
         raise ValueError(f"{what} must be Hermitian")
-    return np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return np.linalg.eigvalsh((m + mh) / 2)
+
+
+def check_effects(m: np.ndarray) -> None:
+    """Raises ``ValueError`` unless each matrix of ``m`` has a spectrum in ``[0, 1]``."""
+    eigs = hermitian_spectrum(m, "effect")
+    bad = ((eigs < -VALIDITY_TOL) | (eigs > 1.0 + VALIDITY_TOL)).any(axis=-1)
+    if bad.any():
+        raise ValueError(f"effect spectrum {eigs[bad][0]} outside [0, 1]")
+
+
+def check_povms(m: np.ndarray) -> None:
+    """Raises ``ValueError`` unless the effects along axis -3 of ``m`` sum to the identity."""
+    if not np.abs(m.sum(axis=-3) - identity(m.shape[-1])).max() <= VALIDITY_TOL:
+        raise ValueError("POVM elements must sum to the identity")
+
+
+def check_densities(m: np.ndarray) -> None:
+    """Raises ``ValueError`` unless each matrix of ``m`` is positive with unit trace."""
+    eigs = hermitian_spectrum(m, "density operator")
+    if eigs.min() < -VALIDITY_TOL:
+        raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    if not np.abs(tr - 1.0).max() <= VALIDITY_TOL:
+        raise ValueError(f"density operator must have unit trace, got {tr}")
+
+
+def vector_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, rounded as ``np.linalg.norm`` rounds one vector."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def normalized(v: np.ndarray) -> np.ndarray:
+    """``v`` over its norm along the last axis; each norm must be 1 within ``VALIDITY_TOL``."""
+    norm = vector_norm(v)
+    if not np.abs(norm - 1.0).max() <= VALIDITY_TOL:
+        raise ValueError(f"state vector must be normalized, got norm {norm}")
+    return v / norm[..., None]
 
 
 def identity(dim: int) -> np.ndarray:
@@ -78,12 +119,7 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = as_cmatrix(self.matrix)
-        eigs = hermitian_spectrum(m, "density operator")
-        if eigs.min() < -VALIDITY_TOL:
-            raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > VALIDITY_TOL:
-            raise ValueError(f"density operator must have unit trace, got {tr}")
+        check_densities(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -99,9 +135,7 @@ class Effect:
 
     def __post_init__(self) -> None:
         m = as_cmatrix(self.matrix)
-        eigs = hermitian_spectrum(m, "effect")
-        if eigs.min() < -VALIDITY_TOL or eigs.max() > 1.0 + VALIDITY_TOL:
-            raise ValueError(f"effect spectrum {eigs} outside [0, 1]")
+        check_effects(m)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -122,9 +156,7 @@ class Povm:
         dim = effects[0].dim
         if any(e.dim != dim for e in effects):
             raise ValueError("all POVM elements must share a dimension")
-        total = sum(e.matrix for e in effects)
-        if np.abs(total - identity(dim)).max() > VALIDITY_TOL:
-            raise ValueError("POVM elements must sum to the identity")
+        check_povms(np.array([e.matrix for e in effects]))
         object.__setattr__(self, "effects", effects)
 
     @property
@@ -174,31 +206,27 @@ class KrausChannel:
 
 def pure_density(psi: Sequence[complex]) -> DensityOperator:
     """Rank-one density operator ``|psi><psi|`` for a normalized vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > VALIDITY_TOL:
-        raise ValueError(f"state vector must be normalized, got norm {norm}")
-    v = v / norm
+    v = normalized(np.asarray(psi, dtype=complex).reshape(-1))
     return DensityOperator(np.outer(v, v.conj()))
 
 
-def born_probability(rho: DensityOperator, effect: Effect) -> float:
-    """Outcome probability ``Tr(rho E)``, clamped to [0, 1] near the boundary.
+def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """``Tr(rho E)`` over broadcast stacks of density and effect matrices, clamped to [0, 1]
+    within ``VALIDITY_TOL``; an imaginary part beyond it (invalid inputs) raises ``ValueError``."""
+    t = np.trace(rho @ effects, axis1=-2, axis2=-1)
+    if not np.abs(t.imag).max() <= VALIDITY_TOL:
+        raise ValueError(f"Tr(rho E) has imaginary part up to {np.abs(t.imag).max():.3e}")
+    p = np.array(t.real)
+    p[(-VALIDITY_TOL <= p) & (p < 0.0)] = 0.0
+    p[(1.0 < p) & (p <= 1.0 + VALIDITY_TOL)] = 1.0
+    return p
 
-    Raises ``ValueError`` on a dimension mismatch or if the trace acquires an
-    imaginary part beyond ``VALIDITY_TOL`` (which signals invalid inputs).
-    """
+
+def born_probability(rho: DensityOperator, effect: Effect) -> float:
+    """``born_probabilities`` of one state and effect of the same dimension."""
     if rho.dim != effect.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {effect.dim}")
-    t = complex(np.trace(rho.matrix @ effect.matrix))
-    if abs(t.imag) > VALIDITY_TOL:
-        raise ValueError(f"Tr(rho E) has imaginary part {t.imag:.3e}")
-    p = t.real
-    if -VALIDITY_TOL <= p < 0.0:
-        return 0.0
-    if 1.0 < p <= 1.0 + VALIDITY_TOL:
-        return 1.0
-    return p
+    return float(born_probabilities(rho.matrix, effect.matrix))
 
 
 def density_from_bloch(r: Sequence[float]) -> DensityOperator:

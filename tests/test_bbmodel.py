@@ -228,6 +228,11 @@ class TestStructuralDemonstrations:
         assert report.max_abs_dev <= 1e-12
         assert report.holds
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_measurement_noncontextuality_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            bb_meas_noncontextuality_property(trials=trials, seed=3)
+
     def test_declared_mixture_context_equals_direct_coin(self, vectors):
         theory = hexagon_theory()
         mixed = theory.measurements["M"]

@@ -948,7 +948,9 @@ class TestValidateOnce:
         [
             (hexagon_theory, 20),
             (transf_nogo, 63),
-            (lambda: bb_meas_noncontextuality_property(20, 7), 380),
+            # Four stacked eigvalsh calls whatever the trial count: no per-trial spectra.
+            pytest.param(lambda: bb_meas_noncontextuality_property(20, 7), 4, id="bb_meas_nc-20"),
+            pytest.param(lambda: bb_meas_noncontextuality_property(100, 7), 4, id="bb_meas_nc-100"),
         ],
     )
     def test_spectra_per_call(self, monkeypatch, build, most):

@@ -15,8 +15,12 @@ from ctxcert.qmath import (
     apply_channel,
     as_fraction,
     bloch_from_density,
+    born_probabilities,
     born_probability,
     channel_action,
+    check_densities,
+    check_effects,
+    check_povms,
     channels_equal,
     choi_matrix,
     complex_from_json,
@@ -26,6 +30,7 @@ from ctxcert.qmath import (
     identity,
     matrix_from_json,
     matrix_to_json,
+    normalized,
     real_from_json,
     unitary_channel,
     unitary_rotation_y,
@@ -109,6 +114,63 @@ class TestPositivity:
             DensityOperator([[0.5, 1], [0, 0.5]])
         with pytest.raises(ValueError, match="Hermitian"):
             Effect([[0.5, 0.1], [0, 0.5]])
+
+
+def _stack(states, labels):
+    return np.array([states[x].matrix for x in labels])
+
+
+def _replace(stack, k, m):
+    out = stack.copy()
+    out[k] = m
+    return out
+
+
+class TestStackedChecks:
+    """The constructors' checks take numpy stacks, and one bad member fails
+    the whole stack."""
+
+    def test_valid_stacks_pass(self, states):
+        pairs = _stack(states, "aAbBcC").reshape(3, 2, 2, 2)
+        check_effects(pairs)
+        check_povms(pairs)
+        check_densities(_stack(states, "aAbBcC"))
+        assert normalized(np.array([[0.6, 0.8j], [1.0, 0.0]])).shape == (2, 2)
+        probs = born_probabilities(_stack(states, "ab")[:, None], _stack(states, "aA"))
+        assert np.abs(probs - [[1.0, 0.0], [0.25, 0.75]]).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "check, k, member, match",
+        [
+            (check_effects, 3, lambda s: [[0.5, 1e-6], [0, 0.5]], "Hermitian"),
+            (check_effects, 2, lambda s: (1 + 1e-6) * s["b"].matrix, "outside"),
+            (check_densities, 1, lambda s: np.diag([1.1, -0.1]), "negative"),
+            (check_densities, 5, lambda s: 2 * s["c"].matrix, "unit trace"),
+        ],
+    )
+    def test_one_bad_member_fails_the_stack(self, states, check, k, member, match):
+        with pytest.raises(ValueError, match=match):
+            check(_replace(_stack(states, "aAbBcC"), k, member(states)))
+
+    def test_one_non_hermitian_member_fails_the_spectrum(self, states):
+        stack = _replace(_stack(states, "aAbBcC"), 4, [[0.5, 0], [1e-6j, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            hermitian_spectrum(stack, "effect")
+
+    def test_a_decomposition_pair_that_misses_the_identity_fails(self, states):
+        pairs = _stack(states, "aAbBcC").reshape(3, 2, 2, 2)
+        pairs[1, 1] += 1e-6 * identity(2)
+        with pytest.raises(ValueError, match="sum to the identity"):
+            check_povms(pairs)
+
+    def test_one_unnormalized_vector_fails_the_stack(self):
+        with pytest.raises(ValueError, match="normalized"):
+            normalized(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6], [0.6, 0.8]]))
+
+    def test_one_complex_trace_fails_the_stack(self, states):
+        effects = _replace(_stack(states, "aAb"), 1, [[0.5 + 1e-3j, 0], [0, 0.5]])
+        with pytest.raises(ValueError, match="imaginary"):
+            born_probabilities(states["a"].matrix, effects)
 
 
 class TestBlochGeometry:
