@@ -54,7 +54,7 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def canonical_rays(v: np.ndarray) -> np.ndarray:
+def _canonical_rays(v: np.ndarray) -> np.ndarray:
     """``normalized(v)``, each vector rotated so its first component of modulus
     above ``RAY_TOL`` is real and positive, with negative zeros collapsed."""
     v = normalized(v)
@@ -79,7 +79,7 @@ class PureOnticState:
         v = frozen_array(self.psi).reshape(-1)
         if v.shape != (2,):
             raise ValueError("a qubit ontic state has exactly two components")
-        object.__setattr__(self, "psi", frozen_array(canonical_rays(v)))
+        object.__setattr__(self, "psi", frozen_array(_canonical_rays(v)))
         object.__setattr__(self, "rho", pure_density(self.psi))
 
     def same_ray(self, other: "PureOnticState") -> bool:
@@ -179,8 +179,8 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     u = rng.random(n)
     # Each inverse-CDF lookup drops the last bound, so a cumsum short of 1 picks the last
     # entry.  With one component every sample is its own: no lookup, no copy.
-    weights = np.cumsum([w for w, _ in prep.mixture])[:-1]
-    comps = np.searchsorted(weights, u, side="right") if weights.size else None
+    cuts = np.cumsum([w for w, _ in prep.mixture])[:-1]
+    comps = np.searchsorted(cuts, u, side="right") if cuts.size else None
     # The outcome block overwrites the component block: one n-sample array fewer.
     rng.random(out=u)
     # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
@@ -298,6 +298,9 @@ def bb_meas_noncontextuality_property(trials: int = 100, seed: int = 7) -> MeasN
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = _rng(seed)
+    # Per trial, nine groups of four normals: the real and the imaginary part of
+    # the effect's Gaussian matrix and of each direction, then per state its real
+    # and its imaginary pair.
     normals, uniforms = np.empty((trials, 9, 2, 2)), np.empty((trials, 2))
     for row, u in zip(normals.reshape(trials, 36), uniforms):
         rng.standard_normal(out=row[:8])
@@ -318,8 +321,9 @@ def bb_meas_noncontextuality_property(trials: int = 100, seed: int = 7) -> MeasN
                       np.concatenate([e2, e2 - td, e2 + td], axis=1)], axis=2)
     check_effects(povms)
     check_povms(povms)
+    # The steps of PureOnticState and pure_density, so each value keeps its bits.
     states = normals[:, 6:, 0] + 1j * normals[:, 6:, 1]
-    v = normalized(canonical_rays(states / vector_norm(states)[..., None]))
+    v = normalized(_canonical_rays(states / vector_norm(states)[..., None]))
     rho = v[..., :, None] * v.conj()[..., None, :]
     check_densities(rho)
     p = born_probabilities(rho[:, :, None, None], povms[:, None])

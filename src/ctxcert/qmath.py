@@ -60,7 +60,7 @@ def hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
     """Eigenvalues of the Hermitian part of ``m``, a matrix or a stack; raises ``ValueError``
     (naming ``what``) unless each is Hermitian entrywise within ``VALIDITY_TOL``."""
     mh = m.conj().swapaxes(-1, -2)
-    if not np.abs(m - mh).max() <= VALIDITY_TOL:
+    if np.abs(m - mh).max() > VALIDITY_TOL:
         raise ValueError(f"{what} must be Hermitian")
     return np.linalg.eigvalsh((m + mh) / 2)
 
@@ -75,7 +75,7 @@ def check_effects(m: np.ndarray) -> None:
 
 def check_povms(m: np.ndarray) -> None:
     """Raises ``ValueError`` unless the effects along axis -3 of ``m`` sum to the identity."""
-    if not np.abs(m.sum(axis=-3) - identity(m.shape[-1])).max() <= VALIDITY_TOL:
+    if np.abs(m.sum(axis=-3) - identity(m.shape[-1])).max() > VALIDITY_TOL:
         raise ValueError("POVM elements must sum to the identity")
 
 
@@ -85,7 +85,7 @@ def check_densities(m: np.ndarray) -> None:
     if eigs.min() < -VALIDITY_TOL:
         raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
     tr = np.trace(m, axis1=-2, axis2=-1)
-    if not np.abs(tr - 1.0).max() <= VALIDITY_TOL:
+    if np.abs(tr - 1.0).max() > VALIDITY_TOL:
         raise ValueError(f"density operator must have unit trace, got {tr}")
 
 
@@ -97,7 +97,7 @@ def vector_norm(v: np.ndarray) -> np.ndarray:
 def normalized(v: np.ndarray) -> np.ndarray:
     """``v`` over its norm along the last axis; each norm must be 1 within ``VALIDITY_TOL``."""
     norm = vector_norm(v)
-    if not np.abs(norm - 1.0).max() <= VALIDITY_TOL:
+    if np.abs(norm - 1.0).max() > VALIDITY_TOL:
         raise ValueError(f"state vector must be normalized, got norm {norm}")
     return v / norm[..., None]
 
@@ -214,7 +214,7 @@ def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """``Tr(rho E)`` over broadcast stacks of density and effect matrices, clamped to [0, 1]
     within ``VALIDITY_TOL``; an imaginary part beyond it (invalid inputs) raises ``ValueError``."""
     t = np.trace(rho @ effects, axis1=-2, axis2=-1)
-    if not np.abs(t.imag).max() <= VALIDITY_TOL:
+    if np.abs(t.imag).max() > VALIDITY_TOL:
         raise ValueError(f"Tr(rho E) has imaginary part up to {np.abs(t.imag).max():.3e}")
     p = np.array(t.real)
     p[(-VALIDITY_TOL <= p) & (p < 0.0)] = 0.0
