@@ -68,8 +68,8 @@ def hermitian_spectrum(m: np.ndarray, what: str) -> np.ndarray:
 def check_effects(m: np.ndarray) -> None:
     """Raises ``ValueError`` unless each matrix of ``m`` has a spectrum in ``[0, 1]``."""
     eigs = hermitian_spectrum(m, "effect")
-    bad = ((eigs < -VALIDITY_TOL) | (eigs > 1.0 + VALIDITY_TOL)).any(axis=-1)
-    if bad.any():
+    if eigs.min() < -VALIDITY_TOL or eigs.max() > 1.0 + VALIDITY_TOL:
+        bad = ((eigs < -VALIDITY_TOL) | (eigs > 1.0 + VALIDITY_TOL)).any(axis=-1)
         raise ValueError(f"effect spectrum {eigs[bad][0]} outside [0, 1]")
 
 
@@ -84,8 +84,8 @@ def check_densities(m: np.ndarray) -> None:
     eigs = hermitian_spectrum(m, "density operator")
     if eigs.min() < -VALIDITY_TOL:
         raise ValueError(f"density operator has negative eigenvalue {eigs.min():.3e}")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    if np.abs(tr - 1.0).max() > VALIDITY_TOL:
+    tr = m.trace(axis1=-2, axis2=-1)
+    if abs(tr - 1.0).max() > VALIDITY_TOL:
         raise ValueError(f"density operator must have unit trace, got {tr}")
 
 
@@ -97,7 +97,7 @@ def vector_norm(v: np.ndarray) -> np.ndarray:
 def normalized(v: np.ndarray) -> np.ndarray:
     """``v`` over its norm along the last axis; each norm must be 1 within ``VALIDITY_TOL``."""
     norm = vector_norm(v)
-    if np.abs(norm - 1.0).max() > VALIDITY_TOL:
+    if abs(norm - 1.0).max() > VALIDITY_TOL:
         raise ValueError(f"state vector must be normalized, got norm {norm}")
     return v / norm[..., None]
 
@@ -213,9 +213,9 @@ def pure_density(psi: Sequence[complex]) -> DensityOperator:
 def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """``Tr(rho E)`` over broadcast stacks of density and effect matrices, clamped to [0, 1]
     within ``VALIDITY_TOL``; an imaginary part beyond it (invalid inputs) raises ``ValueError``."""
-    t = np.trace(rho @ effects, axis1=-2, axis2=-1)
-    if np.abs(t.imag).max() > VALIDITY_TOL:
-        raise ValueError(f"Tr(rho E) has imaginary part up to {np.abs(t.imag).max():.3e}")
+    t = (rho @ effects).trace(axis1=-2, axis2=-1)
+    if abs(t.imag).max() > VALIDITY_TOL:
+        raise ValueError(f"Tr(rho E) has imaginary part up to {abs(t.imag).max():.3e}")
     p = np.array(t.real)
     p[(-VALIDITY_TOL <= p) & (p < 0.0)] = 0.0
     p[(1.0 < p) & (p <= 1.0 + VALIDITY_TOL)] = 1.0
