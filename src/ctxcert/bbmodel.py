@@ -11,8 +11,7 @@ and is demonstrably preparation-contextual.
 explicit seed, so every simulated stream is a pure function of
 ``(seed, n)``; component and outcome draws use inverse-CDF lookups, in
 declaration and outcome order.  ``bb_meas_noncontextuality_property`` draws
-every trial's normals and uniforms first, in the order its docstring gives,
-then builds, checks and evaluates all trials at once as numpy stacks.
+all its trials' numbers first, then checks and evaluates them as numpy stacks.
 """
 
 from __future__ import annotations
@@ -48,6 +47,10 @@ RAY_TOL = 1e-12
 #: ``--povm @file``: about 28 B per sample whatever the outcome count, so the largest allowed
 #: run needs about 0.6 GB.
 MAX_SAMPLES = 2 * 10**7
+
+#: Ceiling on the trials of one ``bb_meas_noncontextuality_property`` call, whose stacks hold
+#: about 4.4 kB per trial at once (tracemalloc peak, numpy 2.4): about 0.44 GB at the limit.
+MAX_TRIALS = 10**5
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -288,19 +291,17 @@ def bb_meas_noncontextuality_property(trials: int = 100, seed: int = 7) -> MeasN
     same two-outcome POVM, the mixed response functions agree exactly (by
     linearity of the trace) on random ontic states.
 
-    Each trial draws, in this order: 8 normals for a complex Gaussian matrix
-    whose QR factor diagonalizes the effect ``E``, 2 uniforms in (0.1, 0.9)
-    for its spectrum, 8 normals for each of the two decompositions'
-    Hermitian directions ``D`` in ``{E +- tD, I - E -+ tD}``, and 4 normals
-    for each of three ontic states.  All trials are then built, checked by the
-    ``qmath`` helpers the constructors use, and evaluated as numpy stacks.
+    Each trial draws, in order, 8 normals for a complex Gaussian matrix whose
+    QR factor diagonalizes the effect ``E``, 2 uniforms in (0.1, 0.9) for its
+    spectrum, 8 normals for the Hermitian direction ``D`` of each of two
+    decompositions ``{E +- tD, I - E -+ tD}``, and 4 normals for each of three
+    ontic states.  All trials are then built, checked by the constructors'
+    ``qmath`` helpers, and evaluated at once as numpy stacks.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"need at least one trial and at most {MAX_TRIALS}, got {trials}")
     rng = _rng(seed)
-    # Per trial, nine groups of four normals: the real and the imaginary part of
-    # the effect's Gaussian matrix and of each direction, then per state its real
-    # and its imaginary pair.
+    # Groups of four normals: real and imaginary parts of G and of each D, then per state.
     normals, uniforms = np.empty((trials, 9, 2, 2)), np.empty((trials, 2))
     for row, u in zip(normals.reshape(trials, 36), uniforms):
         rng.standard_normal(out=row[:8])

@@ -5,12 +5,9 @@ Choi matrices, plus the operations (Born rule, Hermitian spectra, channel
 application) that the rest of the toolkit is built on.  All values are
 immutable after construction and safe for unrestricted concurrent reads.
 
-Each validated type checks its invariant in its constructor and nowhere
-else, through ``check_effects``, ``check_povms``, ``check_densities`` and
-``normalized``; these and ``born_probabilities`` also take numpy stacks, so
-a batch of operators is checked by the same code.  Matrices that are valid by
-construction from validated values (Choi matrices, raw channel images) are
-returned as read-only arrays, unchecked.
+Each validated type checks its invariant in its constructor and nowhere else,
+by ``check_*`` helpers that take one matrix or a numpy stack.  Matrices valid by
+construction (Choi matrices, raw channel images) are read-only, unchecked.
 
 JSON convention shared by every module in this package: a complex number
 serializes as a two-element array ``[re, im]``, and a matrix as a row-major
@@ -69,8 +66,7 @@ def check_effects(m: np.ndarray) -> None:
     """Raises ``ValueError`` unless each matrix of ``m`` has a spectrum in ``[0, 1]``."""
     eigs = hermitian_spectrum(m, "effect")
     if eigs.min() < -VALIDITY_TOL or eigs.max() > 1.0 + VALIDITY_TOL:
-        bad = ((eigs < -VALIDITY_TOL) | (eigs > 1.0 + VALIDITY_TOL)).any(axis=-1)
-        raise ValueError(f"effect spectrum {eigs[bad][0]} outside [0, 1]")
+        raise ValueError(f"effect spectrum [{eigs.min():.3e}, {eigs.max():.3e}] outside [0, 1]")
 
 
 def check_povms(m: np.ndarray) -> None:
@@ -216,10 +212,9 @@ def born_probabilities(rho: np.ndarray, effects: np.ndarray) -> np.ndarray:
     t = (rho @ effects).trace(axis1=-2, axis2=-1)
     if abs(t.imag).max() > VALIDITY_TOL:
         raise ValueError(f"Tr(rho E) has imaginary part up to {abs(t.imag).max():.3e}")
-    p = np.array(t.real)
-    p[(-VALIDITY_TOL <= p) & (p < 0.0)] = 0.0
-    p[(1.0 < p) & (p <= 1.0 + VALIDITY_TOL)] = 1.0
-    return p
+    p = t.real
+    return np.where((-VALIDITY_TOL <= p) & (p < 0.0), 0.0,
+                    np.where((1.0 < p) & (p <= 1.0 + VALIDITY_TOL), 1.0, p))
 
 
 def born_probability(rho: DensityOperator, effect: Effect) -> float:

@@ -233,6 +233,14 @@ class TestStructuralDemonstrations:
         with pytest.raises(ValueError, match="at least one trial"):
             bb_meas_noncontextuality_property(trials=trials, seed=3)
 
+    def test_measurement_noncontextuality_trial_limit(self, monkeypatch):
+        def unreachable(*args):
+            raise RuntimeError("the generator was built")
+
+        monkeypatch.setattr(bbmodel, "_rng", unreachable)
+        with pytest.raises(ValueError, match=f"at most {bbmodel.MAX_TRIALS}"):
+            bb_meas_noncontextuality_property(trials=bbmodel.MAX_TRIALS + 1, seed=3)
+
     def test_declared_mixture_context_equals_direct_coin(self, vectors):
         theory = hexagon_theory()
         mixed = theory.measurements["M"]

@@ -152,11 +152,6 @@ class TestStackedChecks:
         with pytest.raises(ValueError, match=match):
             check(_replace(_stack(states, "aAbBcC"), k, member(states)))
 
-    def test_one_non_hermitian_member_fails_the_spectrum(self, states):
-        stack = _replace(_stack(states, "aAbBcC"), 4, [[0.5, 0], [1e-6j, 0.5]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_spectrum(stack, "effect")
-
     def test_a_decomposition_pair_that_misses_the_identity_fails(self, states):
         pairs = _stack(states, "aAbBcC").reshape(3, 2, 2, 2)
         pairs[1, 1] += 1e-6 * identity(2)
