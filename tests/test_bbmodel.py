@@ -228,18 +228,14 @@ class TestStructuralDemonstrations:
         assert report.max_abs_dev <= 1e-12
         assert report.holds
 
-    @pytest.mark.parametrize("trials", [0, -1])
-    def test_measurement_noncontextuality_needs_a_trial(self, trials):
-        with pytest.raises(ValueError, match="at least one trial"):
-            bb_meas_noncontextuality_property(trials=trials, seed=3)
-
-    def test_measurement_noncontextuality_trial_limit(self, monkeypatch):
+    @pytest.mark.parametrize("trials", [0, -1, bbmodel.MAX_TRIALS + 1])
+    def test_measurement_noncontextuality_trial_count_validated(self, monkeypatch, trials):
         def unreachable(*args):
             raise RuntimeError("the generator was built")
 
         monkeypatch.setattr(bbmodel, "_rng", unreachable)
-        with pytest.raises(ValueError, match=f"at most {bbmodel.MAX_TRIALS}"):
-            bb_meas_noncontextuality_property(trials=bbmodel.MAX_TRIALS + 1, seed=3)
+        with pytest.raises(ValueError, match=f"at least one trial and at most {bbmodel.MAX_TRIALS}"):
+            bb_meas_noncontextuality_property(trials=trials, seed=3)
 
     def test_declared_mixture_context_equals_direct_coin(self, vectors):
         theory = hexagon_theory()
