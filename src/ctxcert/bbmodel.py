@@ -9,9 +9,11 @@ and is demonstrably preparation-contextual.
 
 ``bb_simulate`` samples with the counter-based Philox generator and an
 explicit seed, so every simulated stream is a pure function of
-``(seed, n)``; component and outcome draws use inverse-CDF lookups, in
-declaration and outcome order.  ``bb_meas_noncontextuality_property`` draws
-all its trials' numbers first, then checks and evaluates them as numpy stacks.
+``(seed, n)``; each component and outcome takes the uniforms between two
+partial sums of the weights or response probabilities, in declaration and
+outcome order, and is counted from tail counts, never looked up per sample.
+``bb_meas_noncontextuality_property`` draws all its trials' numbers first,
+then checks and evaluates them as numpy stacks.
 """
 
 from __future__ import annotations
@@ -42,15 +44,20 @@ from .qmath import (
 RAY_TOL = 1e-12
 
 #: Hard ceiling on the samples of one draw, checked before anything is allocated.  Peak RSS of
-#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 65, 93 and 148 MB at 10, 1e6,
-#: 2e6 and 4e6 samples (Python 3.11, numpy, Linux), and the same with a three- or a 100-outcome
-#: ``--povm @file``: about 28 B per sample whatever the outcome count, so the largest allowed
-#: run needs about 0.6 GB.
+#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 57, 75 and 111 MB at 10, 1e6,
+#: 2e6 and 4e6 samples (Python 3.11, numpy 2.4, Linux), about 18 B per sample, and the same with
+#: a three-outcome ``--povm @file``; a 100-outcome one, whose components' samples are sorted,
+#: read 39, 59, 79 and 119 MB, and about 24 B per sample when one of several components holds
+#: nearly every sample to sort, so the largest allowed run needs about 0.5 GB.
 MAX_SAMPLES = 2 * 10**7
 
 #: Ceiling on the trials of one ``bb_meas_noncontextuality_property`` call, whose stacks hold
 #: about 4.4 kB per trial at once (tracemalloc peak, numpy 2.4): about 0.44 GB at the limit.
 MAX_TRIALS = 10**5
+
+#: Above this many outcome bounds ``bb_simulate`` sorts a component's samples and binary-searches
+#: them, instead of one comparison pass per bound.
+_SORT_BOUNDS = 16
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -163,14 +170,37 @@ class SimulationReport:
         }
 
 
+def _outcome_counts(u: np.ndarray, member: np.ndarray | None, bounds: np.ndarray) -> np.ndarray:
+    """Per-outcome counts of the uniforms ``u`` selected by ``member`` (all of them when
+    None), outcome ``j`` taking ``bounds[j-1] <= u < bounds[j]``.
+
+    Each count is the difference of two tail counts, the samples at or above a bound,
+    which is exact because the bounds never decrease.  Up to ``_SORT_BOUNDS`` bounds each
+    tail count is one comparison pass; past it the selected samples are sorted (``u``
+    itself, in place, when ``member`` is None) and each is one binary search.
+    """
+    if bounds.size > _SORT_BOUNDS:
+        picked = u if member is None else u[member]
+        picked.sort()
+        total, tails = picked.size, picked.size - np.searchsorted(picked, bounds)
+    elif member is None:
+        total, tails = u.size, [np.count_nonzero(u >= b) for b in bounds]
+    else:
+        total = np.count_nonzero(member)
+        tails = [np.count_nonzero((u >= b) & member) for b in bounds]
+    return -np.diff([total, *tails, 0])
+
+
 def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> SimulationReport:
     """Sample ontic states, then outcomes from their response functions.
 
     The empirical frequencies converge to the Born probabilities of the
     mixture's density operator.  The stream draws one block of ``n``
-    uniforms for the component choices, inverse-CDF over the mixture weights
+    uniforms for the component choices, component ``k`` taking the uniforms
+    between the ``k``-th and ``k+1``-th partial sums of the mixture weights
     in declaration order, followed by one block of ``n`` for the outcomes,
-    so the report is a pure function of ``(seed, n)``.
+    split the same way by the partial sums of the component's response
+    probabilities, so the report is a pure function of ``(seed, n)``.
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
@@ -179,19 +209,18 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     if n > MAX_SAMPLES:
         raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
     rng = _rng(seed)
-    u = rng.random(n)
-    # Each inverse-CDF lookup drops the last bound, so a cumsum short of 1 picks the last
-    # entry.  With one component every sample is its own: no lookup, no copy.
-    cuts = np.cumsum([w for w, _ in prep.mixture])[:-1]
-    comps = np.searchsorted(cuts, u, side="right") if cuts.size else None
-    # The outcome block overwrites the component block: one n-sample array fewer.
-    rng.random(out=u)
-    # One inverse-CDF lookup per component, so memory does not grow with the outcomes.
+    v = rng.random(n)
+    # Component k holds cuts[k] <= v < cuts[k + 1], the partial sums of the weights before
+    # it and through it.  The last sum is replaced by inf, so a cumsum short of 1 gives the
+    # rest to the last component.  With one component every sample is its own, and the
+    # outcome block overwrites the component block.
+    cuts = np.concatenate(([-np.inf], np.cumsum([w for w, _ in prep.mixture])[:-1], [np.inf]))
+    u = rng.random(out=v) if cuts.size == 2 else rng.random(n)
+    # One boolean mask at a time, so memory grows with neither the components nor the outcomes.
     counts = np.zeros(povm.outcome_count, dtype=np.int64)
     for k, (_, s) in enumerate(prep.mixture):
-        bounds = np.cumsum(bb_indicator(povm, s))[:-1]
-        picks = np.searchsorted(bounds, u if comps is None else u[comps == k], side="right")
-        counts += np.bincount(picks, minlength=len(counts))
+        member = None if u is v else (v >= cuts[k]) & (v < cuts[k + 1])
+        counts += _outcome_counts(u, member, np.cumsum(bb_indicator(povm, s))[:-1])
     freqs = counts / n
     born = born_probabilities(prep.density().matrix, np.array([e.matrix for e in povm.effects]))
     return SimulationReport(

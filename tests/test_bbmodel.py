@@ -169,14 +169,32 @@ class TestSimulation:
         assert sum(outcomes) / len(outcomes) >= 0.99
 
     def test_counts_match_the_outcome_table_reference(self, vectors, antipodal_pvm):
-        """The per-component lookup counts what an outcomes x samples table of
-        cumulative response probabilities counts, on the same stream."""
+        """The tail counts give what an outcomes x samples table of cumulative
+        response probabilities counts, on the same stream: also with a
+        zero-weight component, a zero effect, a weight cumsum of 1 - 2**-53,
+        one outcome, and more outcome bounds than the switch to sorting."""
         trine = Povm(tuple(Effect(2 / 3 * pure_density(vectors[x]).matrix) for x in "abc"))
-        weighted = (((0.5, "a"), (0.5, "A")), ((0.2, "a"), (0.3, "b"), (0.5, "c")))
+        with_zero = Povm(
+            (antipodal_pvm.effects[0], Effect(np.zeros((2, 2))), antipodal_pvm.effects[1])
+        )
+        angles = np.linspace(0.0, np.pi, 10, endpoint=False)
+        twenty = Povm(tuple(
+            Effect(pure_density(v).matrix / 10)
+            for theta in angles
+            for v in ([np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)])
+        ))
+        assert twenty.outcome_count - 1 > bbmodel._SORT_BOUNDS >= trine.outcome_count - 1
+        weighted = (
+            ((1.0, "b"),),
+            ((0.5, "a"), (0.5, "A")),
+            ((0.2, "a"), (0.3, "b"), (0.5, "c")),
+            ((0.4, "a"), (0.0, "B"), (0.6, "c")),
+            ((0.7, "A"), (0.2, "c"), (0.1, "B")),
+        )
         n = 1000
         for mixture in weighted:
             prep = BBPreparation(tuple((w, PureOnticState(vectors[x])) for w, x in mixture))
-            for povm in (antipodal_pvm, trine):
+            for povm in (antipodal_pvm, trine, with_zero, twenty, Povm((Effect(identity(2)),))):
                 for seed in range(3):
                     rng = bbmodel._rng(seed)
                     cumulative = np.cumsum([w for w, _ in prep.mixture])
@@ -212,6 +230,26 @@ class TestSimulation:
                 tracemalloc.stop()
 
         assert peak(hundred) < 2 * peak(antipodal_pvm)
+
+    def test_memory_does_not_grow_with_the_component_count(self, vectors, antipodal_pvm):
+        """One component mask at a time: six components peak less than one
+        n-byte mask above the traced memory of two."""
+        two, six = (
+            BBPreparation(tuple((1 / len(names), PureOnticState(vectors[x])) for x in names))
+            for names in ("aA", "aAbBcC")
+        )
+        n = 200_000
+        bb_simulate(six, antipodal_pvm, 1, seed=3)  # keeps first-call allocations out of the peaks
+
+        def peak(prep):
+            tracemalloc.start()
+            try:
+                bb_simulate(prep, antipodal_pvm, n, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(six) < peak(two) + n
 
 
 class TestStructuralDemonstrations:
