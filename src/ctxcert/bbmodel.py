@@ -210,12 +210,12 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
         raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
     rng = _rng(seed)
     v = rng.random(n)
-    # Component k holds cuts[k] <= v < cuts[k + 1], the partial sums of the weights before
-    # it and through it.  The last sum is replaced by inf, so a cumsum short of 1 gives the
-    # rest to the last component.  With one component every sample is its own, and the
-    # outcome block overwrites the component block.
+    # Component k holds cuts[k] <= v < cuts[k + 1], where cuts runs from -inf through the
+    # partial sums of the weights to inf.  The last partial sum is dropped, so a cumsum short
+    # of 1 gives the rest to the last component.  With one component every sample is its
+    # own, and the outcome block overwrites the component block.
     cuts = np.concatenate(([-np.inf], np.cumsum([w for w, _ in prep.mixture])[:-1], [np.inf]))
-    u = rng.random(out=v) if cuts.size == 2 else rng.random(n)
+    u = rng.random(out=v) if len(prep.mixture) == 1 else rng.random(n)
     # One boolean mask at a time, so memory grows with neither the components nor the outcomes.
     counts = np.zeros(povm.outcome_count, dtype=np.int64)
     for k, (_, s) in enumerate(prep.mixture):

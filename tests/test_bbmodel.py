@@ -96,6 +96,16 @@ class TestIndicator:
             bb_indicator(qutrit, PureOnticState(np.array([1.0, 0.0])))
 
 
+def _traced_peak(call) -> int:
+    """The peak traced memory of ``call()``, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSampling:
     """The component draw of ``bb_simulate``: against the a/A measurement the
     outcome of each component is certain, so outcome frequencies are
@@ -222,12 +232,7 @@ class TestSimulation:
         bb_simulate(prep, hundred, 1, seed=3)  # keeps first-call allocations out of the peaks
 
         def peak(povm):
-            tracemalloc.start()
-            try:
-                bb_simulate(prep, povm, 20_000, seed=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(lambda: bb_simulate(prep, povm, 20_000, seed=3))
 
         assert peak(hundred) < 2 * peak(antipodal_pvm)
 
@@ -242,12 +247,7 @@ class TestSimulation:
         bb_simulate(six, antipodal_pvm, 1, seed=3)  # keeps first-call allocations out of the peaks
 
         def peak(prep):
-            tracemalloc.start()
-            try:
-                bb_simulate(prep, antipodal_pvm, n, seed=3)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return _traced_peak(lambda: bb_simulate(prep, antipodal_pvm, n, seed=3))
 
         assert peak(six) < peak(two) + n
 
