@@ -12,6 +12,9 @@ explicit seed, so every simulated stream is a pure function of
 ``(seed, n)``; each component and outcome takes the uniforms between two
 partial sums of the weights or response probabilities, in declaration and
 outcome order, and is counted from tail counts, never looked up per sample.
+It reads the component and outcome parts of the stream in fixed slices, the
+outcome part from a second generator skipped ahead to it, so its memory
+does not grow with the sample count.
 ``bb_meas_noncontextuality_property`` draws all its trials' numbers first,
 then checks and evaluates them as numpy stacks.
 """
@@ -43,17 +46,19 @@ from .qmath import (
 #: Ray comparison tolerance after canonical phase fixing.
 RAY_TOL = 1e-12
 
-#: Hard ceiling on the samples of one draw, checked before anything is allocated.  Peak RSS of
-#: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` was 38, 57, 75 and 111 MB at 10, 1e6,
-#: 2e6 and 4e6 samples (Python 3.11, numpy 2.4, Linux), about 18 B per sample, and the same with
-#: a three-outcome ``--povm @file``; a 100-outcome one, whose components' samples are sorted,
-#: read 39, 59, 79 and 119 MB, and about 24 B per sample when one of several components holds
-#: nearly every sample to sort, so the largest allowed run needs about 0.5 GB.
+#: Hard ceiling on the samples of one draw, checked before anything is drawn.  It bounds time,
+#: not memory: ``ctxcert simulate-bb --prep 0.5:a,0.5:A --povm b`` peaked at 38.2-38.5 MB RSS at
+#: 10, 1e6, 4e6 and 2e7 samples, and so did three- and 100-outcome ``--povm @file``s.  At the
+#: limit it took 0.5 s of wall time with two outcomes and up to 1.2 s with 100 outcomes and six
+#: components (shared 2-core x86_64, Python 3.11, numpy 2.4, Linux).
 MAX_SAMPLES = 2 * 10**7
 
 #: Ceiling on the trials of one ``bb_meas_noncontextuality_property`` call, whose stacks hold
 #: about 4.4 kB per trial at once (tracemalloc peak, numpy 2.4): about 0.44 GB at the limit.
 MAX_TRIALS = 10**5
+
+#: Draws per slice of ``bb_simulate``'s stream: each of its two buffers holds 256 KB.
+_SLICE = 32768
 
 #: Above this many outcome bounds ``bb_simulate`` sorts a component's samples and binary-searches
 #: them, instead of one comparison pass per bound.
@@ -195,12 +200,13 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
     """Sample ontic states, then outcomes from their response functions.
 
     The empirical frequencies converge to the Born probabilities of the
-    mixture's density operator.  The stream draws one block of ``n``
-    uniforms for the component choices, component ``k`` taking the uniforms
-    between the ``k``-th and ``k+1``-th partial sums of the mixture weights
-    in declaration order, followed by one block of ``n`` for the outcomes,
-    split the same way by the partial sums of the component's response
-    probabilities, so the report is a pure function of ``(seed, n)``.
+    mixture's density operator.  Positions ``0 .. n-1`` of the seed's stream
+    choose the components, component ``k`` taking the uniforms between the
+    ``k``-th and ``k+1``-th partial sums of the mixture weights in declaration
+    order; positions ``n .. 2n-1`` choose the outcomes, split the same way by
+    the partial sums of the component's response probabilities.  So the report
+    is a pure function of ``(seed, n)``.  Both parts are read ``_SLICE`` draws
+    at a time into two fixed buffers, so memory does not grow with ``n``.
     """
     if povm.dim != 2:
         raise ValueError("this model describes qubits only")
@@ -208,19 +214,27 @@ def bb_simulate(prep: BBPreparation, povm: Povm, n: int, seed: int) -> Simulatio
         raise ValueError("need at least one sample")
     if n > MAX_SAMPLES:
         raise ValueError(f"{n} samples exceed the limit of {MAX_SAMPLES} (bbmodel.MAX_SAMPLES)")
-    rng = _rng(seed)
-    v = rng.random(n)
+    # Philox is counter-based, one counter step per four draws, so the outcome part
+    # starts by skipping the component part instead of drawing it.
+    components, outcomes = _rng(seed), _rng(seed)
+    outcomes.bit_generator.advance(n // 4)
+    outcomes.bit_generator.random_raw(n % 4)
     # Component k holds cuts[k] <= v < cuts[k + 1], where cuts runs from -inf through the
     # partial sums of the weights to inf.  The last partial sum is dropped, so a cumsum short
     # of 1 gives the rest to the last component.  With one component every sample is its
-    # own, and the outcome block overwrites the component block.
+    # own, and its draws are never read.
     cuts = np.concatenate(([-np.inf], np.cumsum([w for w, _ in prep.mixture])[:-1], [np.inf]))
-    u = rng.random(out=v) if len(prep.mixture) == 1 else rng.random(n)
-    # One boolean mask at a time, so memory grows with neither the components nor the outcomes.
+    bounds = [np.cumsum(bb_indicator(povm, s))[:-1] for _, s in prep.mixture]
+    v, u = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE))
     counts = np.zeros(povm.outcome_count, dtype=np.int64)
-    for k, (_, s) in enumerate(prep.mixture):
-        member = None if u is v else (v >= cuts[k]) & (v < cuts[k + 1])
-        counts += _outcome_counts(u, member, np.cumsum(bb_indicator(povm, s))[:-1])
+    for start in range(0, n, _SLICE):
+        size = min(_SLICE, n - start)
+        u_slice = outcomes.random(out=u[:size])
+        v_slice = None if len(bounds) == 1 else components.random(out=v[:size])
+        # One boolean mask at a time, so memory grows with neither the components nor the outcomes.
+        for k, component_bounds in enumerate(bounds):
+            member = None if v_slice is None else (v_slice >= cuts[k]) & (v_slice < cuts[k + 1])
+            counts += _outcome_counts(u_slice, member, component_bounds)
     freqs = counts / n
     born = born_probabilities(prep.density().matrix, np.array([e.matrix for e in povm.effects]))
     return SimulationReport(

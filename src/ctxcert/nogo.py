@@ -302,11 +302,14 @@ def _integer_forms(system: ConstraintSystem) -> list[list[int]]:
     return rows
 
 
-def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[int, ...]]:
+def _pattern_extreme_rays(
+    system: ConstraintSystem, forms: list[list[int]]
+) -> list[tuple[int, ...]]:
     """Extreme rays of ``{x >= 0 : all forms equal}`` whose support holds no
     disjoint pair, as primitive integer vectors (nonnegative, gcd 1), ordered by
     support size and then by the support's increasing indices (a support fixes its
-    ray up to scale).
+    ray up to scale).  ``forms`` is ``_integer_forms(system)``, which the caller
+    builds once for this and its sign table.
 
     Double description over the integers (Fukuda & Prodon 1996): from the orthant's
     unit rays, cut by one equality row at a time, the integer difference of form 0 and
@@ -328,7 +331,6 @@ def _pattern_extreme_rays(system: ConstraintSystem) -> list[tuple[int, ...]]:
         partners[index[v]] |= 1 << index[u]
     # A ray is its support, the partners of its support and its integer coordinates.
     rays = [(1 << i, partners[i], [int(i == j) for j in range(n)]) for i in range(n)]
-    forms = _integer_forms(system)
     for cut, other in enumerate(forms[1:]):
         coeffs = [(i, a - b) for i, (a, b) in enumerate(zip(forms[0], other)) if a != b]
         values = [sum(c * vec[i] for i, c in coeffs) for _, _, vec in rays]
@@ -541,11 +543,11 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
             f"{n_pairs} disjointness pairs exceed the enumeration bound of {MAX_DISJOINT_PAIRS}"
         )
 
-    all_rays = _pattern_extreme_rays(system)
+    forms = _integer_forms(system)
+    all_rays = _pattern_extreme_rays(system, forms)
     index = {v: b for b, v in enumerate(system.variables)}
     # The table _derive_all_zero reads: for each form pair (i, j), the variables where
     # form i minus form j is positive and where it is negative; each form's support.
-    forms = _integer_forms(system)
     signs = {}
     for i, j in itertools.combinations(range(len(forms)), 2):
         diff = [a - b for a, b in zip(forms[i], forms[j])]

@@ -106,6 +106,19 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def _reference_frequencies(prep, povm, n, seed) -> tuple[float, ...]:
+    """The frequencies ``bb_simulate`` must report, from one generator's stream drawn
+    whole: n component uniforms, then n outcome uniforms compared against an
+    outcomes x samples table of cumulative response probabilities."""
+    rng = bbmodel._rng(seed)
+    cumulative = np.cumsum([w for w, _ in prep.mixture])
+    comps = np.minimum((rng.random(n)[:, None] >= cumulative).sum(axis=1), len(prep.mixture) - 1)
+    u = rng.random(n)
+    table = np.column_stack([np.cumsum(bb_indicator(povm, s)) for _, s in prep.mixture])
+    outcomes = np.minimum((u[None, :] >= table[:, comps]).sum(axis=0), povm.outcome_count - 1)
+    return tuple(float(f) for f in np.bincount(outcomes, minlength=povm.outcome_count) / n)
+
+
 class TestSampling:
     """The component draw of ``bb_simulate``: against the a/A measurement the
     outcome of each component is certain, so outcome frequencies are
@@ -201,26 +214,33 @@ class TestSimulation:
             ((0.4, "a"), (0.0, "B"), (0.6, "c")),
             ((0.7, "A"), (0.2, "c"), (0.1, "B")),
         )
-        n = 1000
         for mixture in weighted:
             prep = BBPreparation(tuple((w, PureOnticState(vectors[x])) for w, x in mixture))
             for povm in (antipodal_pvm, trine, with_zero, twenty, Povm((Effect(identity(2)),))):
                 for seed in range(3):
-                    rng = bbmodel._rng(seed)
-                    cumulative = np.cumsum([w for w, _ in prep.mixture])
-                    comps = np.minimum(
-                        (rng.random(n)[:, None] >= cumulative).sum(axis=1), len(prep.mixture) - 1
-                    )
-                    u = rng.random(n)
-                    table = np.column_stack(
-                        [np.cumsum(bb_indicator(povm, s)) for _, s in prep.mixture]
-                    )
-                    outcomes = np.minimum(
-                        (u[None, :] >= table[:, comps]).sum(axis=0), povm.outcome_count - 1
-                    )
-                    expected = np.bincount(outcomes, minlength=povm.outcome_count) / n
-                    report = bb_simulate(prep, povm, n, seed)
-                    assert report.frequencies == tuple(float(f) for f in expected)
+                    report = bb_simulate(prep, povm, 1000, seed)
+                    assert report.frequencies == _reference_frequencies(prep, povm, 1000, seed)
+
+    def test_counts_match_the_reference_at_every_slice_edge(self, vectors, antipodal_pvm):
+        """The outcome part of the stream is reached by skipping n draws and read in
+        slices: every remainder of n by Philox's four draws per counter step, and n on
+        either side of one and two slices, for one, two and three components against
+        two, three and twenty outcomes (the sorted branch)."""
+        trine = Povm(tuple(Effect(2 / 3 * pure_density(vectors[x]).matrix) for x in "abc"))
+        twenty = Povm(tuple(
+            Effect(pure_density(v).matrix / 10)
+            for theta in np.linspace(0.0, np.pi, 10, endpoint=False)
+            for v in ([np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)])
+        ))
+        assert twenty.outcome_count - 1 > bbmodel._SORT_BOUNDS
+        slice_ = bbmodel._SLICE
+        mixtures = (((1.0, "b"),), ((0.3, "a"), (0.7, "C")), ((0.7, "A"), (0.2, "c"), (0.1, "B")))
+        for mixture in mixtures:
+            prep = BBPreparation(tuple((w, PureOnticState(vectors[x])) for w, x in mixture))
+            for povm in (antipodal_pvm, trine, twenty):
+                for n in (1, 2, 3, slice_ - 1, slice_, slice_ + 1, 2 * slice_ + 3):
+                    report = bb_simulate(prep, povm, n, seed=n)
+                    assert report.frequencies == _reference_frequencies(prep, povm, n, seed=n)
 
     def test_memory_does_not_grow_with_the_outcome_count(self, vectors, antipodal_pvm):
         """No outcomes x samples table: a 100-outcome draw peaks below twice
@@ -235,6 +255,19 @@ class TestSimulation:
             return _traced_peak(lambda: bb_simulate(prep, povm, 20_000, seed=3))
 
         assert peak(hundred) < 2 * peak(antipodal_pvm)
+
+    def test_memory_does_not_grow_with_the_sample_count(self, vectors, antipodal_pvm):
+        """The stream is read in fixed slices: a million samples peak less than
+        1 MB above ten thousand, where one million-sample block is 8 MB."""
+        prep = BBPreparation(
+            ((0.5, PureOnticState(vectors["a"])), (0.5, PureOnticState(vectors["b"])))
+        )
+        bb_simulate(prep, antipodal_pvm, 1, seed=3)  # keeps first-call allocations out of the peaks
+
+        def peak(n):
+            return _traced_peak(lambda: bb_simulate(prep, antipodal_pvm, n, seed=3))
+
+        assert peak(10**6) < peak(10**4) + 2**20
 
     def test_memory_does_not_grow_with_the_component_count(self, vectors, antipodal_pvm):
         """One component mask at a time: six components peak less than one

@@ -313,6 +313,13 @@ class TestStageOne:
         for system in (_prep_system(), _polygon_system(4)):
             calls.clear()
             pointwise_feasibility(system)
+            assert calls == [(system, nogo._integer_forms(system))]
+
+    def test_forms_are_built_once_per_certification(self, monkeypatch):
+        calls = _counting(monkeypatch, "_integer_forms")
+        for system in (_prep_system(), _polygon_system(4)):
+            calls.clear()
+            pointwise_feasibility(system)
             assert calls == [(system,)]
 
     def test_supports_holding_a_pair_are_never_tried(self, monkeypatch):
@@ -329,7 +336,7 @@ class TestStageOne:
         held = []
         for case in (system, unpaired):
             made.clear()
-            nogo._pattern_extreme_rays(case)
+            nogo._pattern_extreme_rays(case, nogo._integer_forms(case))
             assert made
             held.append([
                 vec for vec in made for u, v in system.disjoint_pairs
@@ -340,7 +347,8 @@ class TestStageOne:
 
     def test_each_pattern_gets_the_full_cone_rays_avoiding_its_zeros(self):
         system = _polygon_system(4)
-        rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system)]
+        forms = nogo._integer_forms(system)
+        rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system, forms)]
         for row in pointwise_feasibility(system).cases:
             face = [
                 r for r in rays if all(r[system.variables.index(v)] == 0 for v in row.zeroed)
@@ -379,7 +387,8 @@ class TestStageOne:
         ]
         several = 0
         for system in systems:
-            rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system)]
+            forms = nogo._integer_forms(system)
+            rays = [_first_one(ray) for ray in nogo._pattern_extreme_rays(system, forms)]
             assert rays == pair_free_extreme_rays(system), system.to_json()
             several += len(rays) > 1
         assert several >= 100
