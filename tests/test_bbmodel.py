@@ -223,9 +223,9 @@ class TestSimulation:
 
     def test_counts_match_the_reference_at_every_slice_edge(self, vectors, antipodal_pvm):
         """The outcome part of the stream is reached by skipping n draws and read in
-        slices: every remainder of n by Philox's four draws per counter step, and n on
-        either side of one and two slices, for one, two and three components against
-        two, three and twenty outcomes (the sorted branch)."""
+        slices: every remainder of n by Philox's four draws per counter step, n at and on
+        either side of one slice, and n just past two, for one, two and three components
+        against two, three and twenty outcomes (the sorted branch)."""
         trine = Povm(tuple(Effect(2 / 3 * pure_density(vectors[x]).matrix) for x in "abc"))
         twenty = Povm(tuple(
             Effect(pure_density(v).matrix / 10)
