@@ -15,25 +15,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import nogo
-from .bbmodel import BBPreparation, PureOnticState, bb_simulate
-from .operational import (
-    OperationalTheory,
-    hexagon_state_vectors,
-    hexagon_theory,
-    render_bloch_disk_svg,
-)
-from .qmath import (
-    VALIDITY_TOL,
-    Effect,
-    Povm,
-    complex_from_json,
-    matrix_from_json,
-    real_from_json,
-)
+if TYPE_CHECKING:
+    from .bbmodel import BBPreparation
+    from .qmath import Povm
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -100,45 +86,52 @@ def _emit_doc(doc: dict, args: argparse.Namespace, summary: str) -> None:
 
 
 def cmd_nogo(args: argparse.Namespace) -> int:
+    from . import nogo
+    from .operational import hexagon_state_vectors
+
     target = args.target
-    if target == "prep":
-        cert = nogo.prep_nogo()
-        doc = cert.to_json()
-        summary = f"prep: {cert.verdict} across {len(cert.cases)} zero patterns"
-        ok = not cert.feasible
-    elif target == "meas":
-        cert = nogo.meas_nogo()
-        doc = cert.to_json()
-        summary = (
-            f"meas: {cert.verdict}; {len(cert.cases)} deterministic assignments, "
-            "none mixes to (1/2, 1/2)"
-        )
-        ok = not cert.feasible
-    elif target == "transf":
-        cert = nogo.transf_nogo()
-        doc = cert.to_json()
-        summary = f"transf: {cert.verdict} across {len(cert.cases)} zero patterns"
-        ok = not cert.feasible
-    elif target == "gleason":
-        vectors = hexagon_state_vectors()
-        try:
-            witness = nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-        doc = witness.to_json()
-        summary = f"gleason: forced fractional value {witness.forced_value:.6f}"
-        ok = witness.contradiction
-    elif target == "od-unsharp":
-        report = nogo.od_unsharp_contradiction()
-        doc = report.to_json()
-        summary = (
-            "od-unsharp: forced representation "
-            f"{tuple(round(v, 6) for v in report.forced_values)} is not idempotent"
-        )
-        ok = report.contradiction
-    else:  # pragma: no cover - argparse restricts the choices
-        raise InputError(f"unknown target {target!r}")
+    try:
+        if target == "prep":
+            cert = nogo.prep_nogo()
+            doc = cert.to_json()
+            summary = f"prep: {cert.verdict} across {len(cert.cases)} zero patterns"
+            ok = not cert.feasible
+        elif target == "meas":
+            cert = nogo.meas_nogo()
+            doc = cert.to_json()
+            summary = (
+                f"meas: {cert.verdict}; {len(cert.cases)} deterministic assignments, "
+                "none mixes to (1/2, 1/2)"
+            )
+            ok = not cert.feasible
+        elif target == "transf":
+            cert = nogo.transf_nogo()
+            doc = cert.to_json()
+            summary = f"transf: {cert.verdict} across {len(cert.cases)} zero patterns"
+            ok = not cert.feasible
+        elif target == "gleason":
+            vectors = hexagon_state_vectors()
+            try:
+                witness = nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_INPUT
+            doc = witness.to_json()
+            summary = f"gleason: forced fractional value {witness.forced_value:.6f}"
+            ok = witness.contradiction
+        elif target == "od-unsharp":
+            report = nogo.od_unsharp_contradiction()
+            doc = report.to_json()
+            summary = (
+                "od-unsharp: forced representation "
+                f"{tuple(round(v, 6) for v in report.forced_values)} is not idempotent"
+            )
+            ok = report.contradiction
+        else:  # pragma: no cover - argparse restricts the choices
+            raise InputError(f"unknown target {target!r}")
+    except nogo.VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_DEVIATION
     _emit_doc(doc, args, summary)
     return EXIT_OK if ok else EXIT_DEVIATION
 
@@ -148,6 +141,9 @@ def cmd_nogo(args: argparse.Namespace) -> int:
 
 
 def cmd_feasibility(args: argparse.Namespace) -> int:
+    from . import nogo
+    from .operational import OperationalTheory
+
     try:
         text = Path(args.instance).read_text(encoding="utf-8")
     except OSError as exc:
@@ -173,6 +169,9 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     except (InputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except nogo.VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_DEVIATION
     doc_out = cert.to_json()
     summary = f"feasibility: {cert.verdict} ({len(cert.cases)} zero patterns)"
     _emit_doc(doc_out, args, summary)
@@ -192,6 +191,12 @@ def _read(where: str, read, value):
 
 
 def _parse_prep_spec(spec: str) -> BBPreparation:
+    import numpy as np
+
+    from .bbmodel import BBPreparation, PureOnticState
+    from .operational import hexagon_state_vectors
+    from .qmath import complex_from_json, real_from_json
+
     vectors = hexagon_state_vectors()
     if spec.startswith("@"):
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
@@ -232,6 +237,9 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
 
 
 def _parse_povm_spec(spec: str) -> Povm:
+    from .operational import hexagon_theory
+    from .qmath import Effect, Povm, matrix_from_json
+
     if spec.startswith("@"):
         doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
         effects = doc.get("effects") if isinstance(doc, dict) else doc
@@ -251,6 +259,8 @@ def _parse_povm_spec(spec: str) -> Povm:
 
 
 def cmd_simulate_bb(args: argparse.Namespace) -> int:
+    from .bbmodel import bb_simulate
+
     try:
         prep = _parse_prep_spec(args.prep)
         povm = _parse_povm_spec(args.povm)
@@ -273,6 +283,8 @@ def cmd_simulate_bb(args: argparse.Namespace) -> int:
 
 
 def cmd_figure_bloch(args: argparse.Namespace) -> int:
+    from .operational import render_bloch_disk_svg
+
     svg = render_bloch_disk_svg()
     _emit(svg, args.out, "figure-bloch: 6 states, 3 segments, 2 triangles, center marker")
     return EXIT_OK
@@ -283,6 +295,8 @@ def cmd_figure_bloch(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .qmath import VALIDITY_TOL
+
     parser = argparse.ArgumentParser(
         prog="ctxcert",
         description="Certify contextuality no-go theorems and explore their instances.",
@@ -333,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not 0 < getattr(args, "tol", VALIDITY_TOL) < math.inf:
+    if "tol" in args and not 0 < args.tol < math.inf:
         print("error: --tol must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
     if getattr(args, "samples", 1) < 1:
@@ -341,9 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except nogo.VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_DEVIATION
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

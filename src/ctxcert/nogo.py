@@ -25,12 +25,10 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .kraus import decomposition_deviations
-from .ontomodel import IndicatorSet, is_outcome_deterministic
 from .operational import OperationalTheory, coin_flip_povm, hexagon_theory, prep_equivalent
 from .qmath import (
     IDENTITY_TOL,
@@ -49,6 +47,9 @@ from .qmath import (
     matrix_to_json,
     pure_density,
 )
+
+if TYPE_CHECKING:
+    from .ontomodel import IndicatorSet
 
 #: Hard ceiling on the complementarity pairs, hence on the 2**pairs zero patterns.  With both
 #: bounds lifted, the 2k-gon certifies in 0.05, 0.05, 0.32, 0.52 and 2.8 s for k = 8..12 (one
@@ -725,6 +726,8 @@ class ForcedIndicator:
 
     def indicator_set(self) -> IndicatorSet:
         """The forced pair as an indicator set on a one-point ontic space."""
+        from .ontomodel import IndicatorSet
+
         return IndicatorSet(np.array(self.values).reshape(-1, 1))
 
 
@@ -831,6 +834,8 @@ def od_unsharp_contradiction() -> OdUnsharpReport:
     """Outcome determinism for unsharp measurements contradicts measurement
     noncontextuality: the coin-flip POVM's forced constant representation is
     not idempotent."""
+    from .ontomodel import is_outcome_deterministic
+
     coin = coin_flip_povm()
     forced = trivial_povm_forced_indicator(coin)
     deterministic = is_outcome_deterministic(forced.indicator_set())
@@ -858,6 +863,8 @@ def transf_nogo() -> Certificate:
     on a grid of z-x pure states that each pair has orthogonal outputs on
     every input.  Step 4 certifies the system, which must be infeasible.
     """
+    from .kraus import decomposition_deviations
+
     theory = hexagon_theory()
     checks = [PremiseCheck(name, dev) for name, dev in decomposition_deviations(theory)]
 

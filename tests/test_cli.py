@@ -557,16 +557,24 @@ class TestFlagValidation:
 
 class TestExitCodeContract:
     def test_verification_failure_exits_four(self, capsys, monkeypatch):
-        from ctxcert import cli
         from ctxcert.nogo import VerificationError
 
         def broken():
             raise VerificationError("premise corrupted")
 
-        monkeypatch.setattr(cli.nogo, "prep_nogo", broken)
+        monkeypatch.setattr(nogo, "prep_nogo", broken)
         code, _, stderr = _run(capsys, "nogo", "prep")
         assert code == 4
         assert "verification failed" in stderr
+
+    def test_witness_verification_failure_exits_four(self, capsys, monkeypatch, toy_file):
+        def broken(system, witness, tol):
+            raise nogo.VerificationError("witness corrupted")
+
+        monkeypatch.setattr(nogo, "_verify_witness", broken)
+        code, _, stderr = _run(capsys, "feasibility", str(toy_file))
+        assert code == 4
+        assert "verification failed: witness corrupted" in stderr
 
     def test_unwritable_output_exits_one(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.json"
