@@ -36,10 +36,13 @@ from .qmath import (
     check_densities,
     check_effects,
     check_povms,
+    complex_from_json,
     frozen_array,
     matrix_to_json,
     normalized,
     pure_density,
+    read_at,
+    real_from_json,
     vector_norm,
 )
 
@@ -129,6 +132,31 @@ class BBPreparation:
             {"weight": w, "state": [list(map(float, (z.real, z.imag))) for z in s.psi]}
             for w, s in self.mixture
         ]
+
+    @classmethod
+    def from_json(cls, doc) -> "BBPreparation":
+        """The inverse of ``to_json``.  A malformed document raises
+        ``TypeError`` or ``ValueError`` naming the entry and field at fault."""
+        if not isinstance(doc, list):
+            raise TypeError("expected a list of objects with fields weight, state")
+        mixture = []
+        for i, entry in enumerate(doc):
+            where = f"entry {i}"
+            if not isinstance(entry, dict):
+                raise TypeError(f"{where} is not an object with fields weight, state")
+            for key in ("weight", "state"):
+                if key not in entry:
+                    raise TypeError(f"{where} has no field {key!r}")
+            if not isinstance(entry["state"], list):
+                raise TypeError(f"{where}: field 'state' is not a list")
+            weight = read_at(f"{where}: field 'weight'", real_from_json, entry["weight"])
+            state = read_at(
+                f"{where}: field 'state'",
+                lambda zs: PureOnticState(np.array([complex_from_json(z) for z in zs])),
+                entry["state"],
+            )
+            mixture.append((weight, state))
+        return cls(tuple(mixture))
 
 
 def bb_indicator(povm: Povm, psi: PureOnticState) -> np.ndarray:

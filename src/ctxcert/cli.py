@@ -68,8 +68,6 @@ def _emit(payload: str, out: str | None, summary: str) -> None:
         print(summary)
     else:
         sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
         print(summary, file=sys.stderr)
 
 
@@ -82,6 +80,29 @@ def _emit_doc(doc: dict, args: argparse.Namespace, summary: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Input files.
+
+
+def _load_json(path: str):
+    """The JSON document in the file ``path``, or an ``InputError`` that says
+    why the file cannot be read or where its JSON is malformed."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise InputError(f"malformed JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {path}: {e}") from None
+
+
+def _from_file(flag: str, spec: str, from_json):
+    """``from_json`` of the file that ``spec``, ``@FILE``, names; each error names the flag."""
+    try:
+        return from_json(_load_json(spec[1:]))
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{flag} {spec}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # nogo subcommand.
 
 
@@ -89,50 +110,40 @@ def cmd_nogo(args: argparse.Namespace) -> int:
     from . import nogo
     from .operational import hexagon_state_vectors
 
-    target = args.target
+    def gleason():
+        vectors = hexagon_state_vectors()
+        try:
+            return nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
+        except ValueError as exc:
+            raise InputError(exc) from None
+
+    drivers = {
+        "prep": (nogo.prep_nogo, lambda c: f"{c.verdict} across {len(c.cases)} zero patterns"),
+        "meas": (
+            nogo.meas_nogo,
+            lambda c: f"{c.verdict}; {len(c.cases)} deterministic assignments, "
+            "none mixes to (1/2, 1/2)",
+        ),
+        "transf": (nogo.transf_nogo, lambda c: f"{c.verdict} across {len(c.cases)} zero patterns"),
+        "gleason": (gleason, lambda w: f"forced fractional value {w.forced_value:.6f}"),
+        "od-unsharp": (
+            nogo.od_unsharp_contradiction,
+            lambda r: "forced representation "
+            f"{tuple(round(v, 6) for v in r.forced_values)} is not idempotent",
+        ),
+    }
+    driver, summary = drivers[args.target]
     try:
-        if target == "prep":
-            cert = nogo.prep_nogo()
-            doc = cert.to_json()
-            summary = f"prep: {cert.verdict} across {len(cert.cases)} zero patterns"
-            ok = not cert.feasible
-        elif target == "meas":
-            cert = nogo.meas_nogo()
-            doc = cert.to_json()
-            summary = (
-                f"meas: {cert.verdict}; {len(cert.cases)} deterministic assignments, "
-                "none mixes to (1/2, 1/2)"
-            )
-            ok = not cert.feasible
-        elif target == "transf":
-            cert = nogo.transf_nogo()
-            doc = cert.to_json()
-            summary = f"transf: {cert.verdict} across {len(cert.cases)} zero patterns"
-            ok = not cert.feasible
-        elif target == "gleason":
-            vectors = hexagon_state_vectors()
-            try:
-                witness = nogo.gleason_contradiction(vectors["a"], vectors["b"], tol=args.tol)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
-            doc = witness.to_json()
-            summary = f"gleason: forced fractional value {witness.forced_value:.6f}"
-            ok = witness.contradiction
-        elif target == "od-unsharp":
-            report = nogo.od_unsharp_contradiction()
-            doc = report.to_json()
-            summary = (
-                "od-unsharp: forced representation "
-                f"{tuple(round(v, 6) for v in report.forced_values)} is not idempotent"
-            )
-            ok = report.contradiction
-        else:  # pragma: no cover - argparse restricts the choices
-            raise InputError(f"unknown target {target!r}")
+        result = driver()
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except nogo.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_DEVIATION
-    _emit_doc(doc, args, summary)
+    _emit_doc(result.to_json(), args, f"{args.target}: {summary(result)}")
+    # A certificate must be Infeasible; a witness or report must be a contradiction.
+    ok = not result.feasible if isinstance(result, nogo.Certificate) else result.contradiction
     return EXIT_OK if ok else EXIT_DEVIATION
 
 
@@ -145,19 +156,7 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
     from .operational import OperationalTheory
 
     try:
-        text = Path(args.instance).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot read {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    try:
+        doc = _load_json(args.instance)
         if isinstance(doc, dict) and "variables" in doc:
             system = nogo.ConstraintSystem.from_json(doc)
         elif isinstance(doc, dict) and "preparations" in doc:
@@ -166,63 +165,32 @@ def cmd_feasibility(args: argparse.Namespace) -> int:
         else:
             raise InputError("instance is neither a constraint system nor a theory")
         cert = nogo.pointwise_feasibility(system)
-    except (InputError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except nogo.VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_DEVIATION
-    doc_out = cert.to_json()
     summary = f"feasibility: {cert.verdict} ({len(cert.cases)} zero patterns)"
-    _emit_doc(doc_out, args, summary)
+    _emit_doc(cert.to_json(), args, summary)
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
 # simulate-bb subcommand.
 
-
-def _read(where: str, read, value):
-    """``read(value)``, whose value errors name where the value sits."""
-    try:
-        return read(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: {exc}") from None
+#: The ``--povm`` names of the hexagon theory's measurements.
+_POVMS = {"a": "Ma", "b": "Mb", "c": "Mc", "mixed": "M", "trivial": "Mtrivial"}
 
 
 def _parse_prep_spec(spec: str) -> BBPreparation:
-    import numpy as np
-
     from .bbmodel import BBPreparation, PureOnticState
     from .operational import hexagon_state_vectors
-    from .qmath import complex_from_json, real_from_json
 
-    vectors = hexagon_state_vectors()
     if spec.startswith("@"):
-        doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        if not isinstance(doc, list):
-            raise InputError(f"--prep {spec}: expected a list of objects with fields weight, state")
-        mixture = []
-        for i, entry in enumerate(doc):
-            where = f"--prep {spec}: entry {i}"
-            if not isinstance(entry, dict):
-                raise InputError(f"{where} is not an object with fields weight, state")
-            for key in ("weight", "state"):
-                if key not in entry:
-                    raise InputError(f"{where} has no field {key!r}")
-            if not isinstance(entry["state"], list):
-                raise InputError(f"{where}: field 'state' is not a list")
-            weight = _read(f"{where}: field 'weight'", real_from_json, entry["weight"])
-            state = _read(
-                f"{where}: field 'state'",
-                lambda zs: np.array([complex_from_json(z) for z in zs]),
-                entry["state"],
-            )
-            mixture.append((weight, PureOnticState(state)))
-        return BBPreparation(tuple(mixture))
+        return _from_file("--prep", spec, BBPreparation.from_json)
     parts = [p.strip() for p in spec.split(",") if p.strip()]
-    if not parts:
-        raise InputError("empty preparation spec")
+    vectors = hexagon_state_vectors()
     mixture = []
     for part in parts:
         if ":" in part:
@@ -238,24 +206,13 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
 
 def _parse_povm_spec(spec: str) -> Povm:
     from .operational import hexagon_theory
-    from .qmath import Effect, Povm, matrix_from_json
+    from .qmath import Povm
 
     if spec.startswith("@"):
-        doc = json.loads(Path(spec[1:]).read_text(encoding="utf-8"))
-        effects = doc.get("effects") if isinstance(doc, dict) else doc
-        if not isinstance(effects, list):
-            raise InputError(f"--povm {spec}: field 'effects' is not a list of matrices")
-        where = f"--povm {spec}: field 'effects', entry"
-        matrices = [_read(f"{where} {i}", matrix_from_json, m) for i, m in enumerate(effects)]
-        return Povm(tuple(Effect(m) for m in matrices))
-    measurements = hexagon_theory().measurements
-    if spec in ("a", "b", "c"):
-        return measurements["M" + spec]
-    if spec in ("trivial", "mixed"):
-        # The uniform mixture of the three antipodal PVMs equals the
-        # coin-flip POVM, so both names yield {I/2, I/2}.
-        return measurements["Mtrivial"]
-    raise InputError(f"unknown POVM {spec!r}; choose a/b/c/mixed/trivial or @file")
+        return _from_file("--povm", spec, Povm.from_json)
+    if spec not in _POVMS:
+        raise InputError(f"unknown POVM {spec!r}; choose a/b/c/mixed/trivial or @file")
+    return hexagon_theory().measurements[_POVMS[spec]]
 
 
 def cmd_simulate_bb(args: argparse.Namespace) -> int:
@@ -265,16 +222,15 @@ def cmd_simulate_bb(args: argparse.Namespace) -> int:
         prep = _parse_prep_spec(args.prep)
         povm = _parse_povm_spec(args.povm)
         report = bb_simulate(prep, povm, args.samples, args.seed)
-    except (InputError, ValueError, OSError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    doc = report.to_json()
     within = report.within_sigma(4.0)
     summary = (
         f"simulate-bb: n={report.n} seed={report.seed} "
         f"max|freq-born|={report.max_abs_dev:.3e} ({'within' if within else 'OUTSIDE'} 4 sigma)"
     )
-    _emit_doc(doc, args, summary)
+    _emit_doc(report.to_json(), args, summary)
     return EXIT_OK if within else EXIT_DEVIATION
 
 
@@ -315,8 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(
         p_nogo,
-        "numeric tolerance of the gleason target's normalization and overlap "
-        "checks; the other targets check their premises at fixed tolerances",
+        "numeric tolerance of the gleason target's overlap check (state vectors are "
+        "checked to be normalized at a fixed tolerance); the other targets check "
+        "their premises at fixed tolerances",
     )
     p_nogo.set_defaults(func=cmd_nogo)
 
@@ -349,9 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if "tol" in args and not 0 < args.tol < math.inf:
         print("error: --tol must be positive and finite", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "samples", 1) < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)

@@ -74,8 +74,7 @@ def remix_kraus(channel: KrausChannel, u: RemixMatrix) -> KrausChannel:
 def decomposition_deviations(theory: OperationalTheory) -> list[tuple[str, float]]:
     """The deviation the theory measured for each declared transformation
     mixture, named K1, K2, ... in declaration order."""
-    deviations = (dev for d, dev in zip(theory.mixtures, theory.deviations) if d.kind == "transf")
-    return [(f"K{k}", dev) for k, dev in enumerate(deviations, start=1)]
+    return [(f"K{k}", dev) for k, dev in enumerate(theory.deviations_of("transf"), start=1)]
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,9 @@ from .qmath import (
     born_probability,
     channel_action,
     complex_to_json,
-    identity,
     matrix_to_json,
     pure_density,
+    vector_norm,
 )
 
 if TYPE_CHECKING:
@@ -603,7 +603,7 @@ def _verify_witness(system: ConstraintSystem, witness: Witness, tol: float) -> N
     values = witness.preparations
     points = range(witness.ontic_size)
     if any(len(values[var]) != len(points) for var in system.variables):
-        raise RuntimeError(f"witness values do not cover its {len(points)} ontic points")
+        raise VerificationError(f"witness values do not cover its {len(points)} ontic points")
     worst = 0.0
     for var in system.variables:
         worst = max(worst, abs(sum(values[var]) - 1.0), -min(values[var]))
@@ -616,7 +616,7 @@ def _verify_witness(system: ConstraintSystem, witness: Witness, tol: float) -> N
     for other in evaluated[1:]:
         worst = max(worst, *(abs(a - b) for a, b in zip(evaluated[0], other)))
     if worst > tol:
-        raise RuntimeError(f"witness deviates from its system by {worst:.3e}")
+        raise VerificationError(f"witness deviates from its system by {worst:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -693,20 +693,17 @@ def prep_nogo() -> Certificate:
 
     First verifies the numeric premises on the canonical instance (the three
     orthogonalities that imply single-shot distinguishability, and the five
-    mixtures all equal to the completely mixed state), then runs the
-    pointwise certifier on the system derived from the instance, whose
-    verdict must be Infeasible.
+    mixtures all equal to the completely mixed state, as the theory measured
+    them), then runs the pointwise certifier on the system derived from the
+    instance, whose verdict must be Infeasible.
     """
     theory = hexagon_theory()
     system = system_from_theory(theory)
     rho = {label: p.matrix for label, p in theory.preparations.items()}
-    center = identity(theory.dim) / theory.dim
-    targets = {d.target for d in theory.mixtures if d.kind == "prep"}
     orthogonality = max(float(np.abs(rho[u] @ rho[v]).max()) for u, v in system.disjoint_pairs)
-    centered = max(float(np.abs(rho[t] - center).max()) for t in targets)
     checks = (
         PremiseCheck("orthogonality", orthogonality),
-        PremiseCheck("mixtures-equal-center", centered),
+        PremiseCheck("mixtures-equal-center", max(theory.deviations_of("prep"))),
     )
     return _certify_infeasible(system, checks, "preparation")
 
@@ -771,19 +768,17 @@ def meas_nogo() -> Certificate:
     """Certify that outcome-deterministic sharp representations cannot mix to
     the forced coin-flip representation.
 
-    Reads the PVMs and weights of the theory's mixture ``M``, which equals
-    the coin flip ``Mtrivial``, and names each PVM outcome by the preparation
+    Reads the PVMs and weights of the theory's mixture ``M``, the coin flip,
+    as the theory measured it, and names each PVM outcome by the preparation
     equal to its effect.  No deterministic assignment to the PVMs (one
     outcome of each takes the value 1) may mix, with the exact weights, to
     the values that noncontextuality forces for the coin flip.
     """
     theory = hexagon_theory()
-    coin = theory.measurements["Mtrivial"]
     mixed = theory.measurements["M"]
-    povm_dev = max(float(np.abs(mixed[k].matrix - coin[k].matrix).max()) for k in range(2))
-    forced = trivial_povm_forced_indicator(coin)
+    forced = trivial_povm_forced_indicator(mixed)
     checks = (
-        PremiseCheck("mixed-povm-equals-coin-povm", povm_dev),
+        PremiseCheck("mixed-povm-equals-coin-povm", max(theory.deviations_of("meas"))),
         PremiseCheck("forced-coin-indicator", max(abs(v - 0.5) for v in forced.values)),
     )
     _check_premises(checks)
@@ -922,15 +917,15 @@ def gleason_contradiction(
     psi: Sequence[complex], psi_prime: Sequence[complex], tol: float = VALIDITY_TOL
 ) -> GleasonWitness:
     """Force a strictly fractional response value from two non-orthogonal,
-    non-parallel rays; raises ``ValueError`` when the overlap is 0 or 1
-    within ``tol`` (no contradiction is available from such a pair)."""
+    non-parallel unit vectors, normalized within ``VALIDITY_TOL``; raises
+    ``ValueError`` when the overlap is 0 or 1 within ``tol``, which governs
+    only the overlap (no contradiction is available from such a pair)."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     w = np.asarray(psi_prime, dtype=complex).reshape(-1)
     if v.shape != (2,) or w.shape != (2,):
         raise ValueError("expected two 2-component state vectors")
-    for vec in (v, w):
-        if abs(np.linalg.norm(vec) - 1.0) > tol:
-            raise ValueError("state vectors must be normalized")
+    if abs(vector_norm(np.stack([v, w])) - 1.0).max() > VALIDITY_TOL:
+        raise ValueError("state vectors must be normalized")
     forced = born_probability(pure_density(v), Effect(np.outer(w, w.conj())))
     if forced <= tol:
         raise ValueError("orthogonal pair: the forced value is 0, not fractional")

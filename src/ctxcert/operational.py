@@ -156,6 +156,10 @@ class OperationalTheory:
             deviations.append(dev)
         self.deviations: tuple[float, ...] = tuple(deviations)
 
+    def deviations_of(self, kind: str) -> list[float]:
+        """The deviations of the mixtures of ``kind``, in declaration order."""
+        return [dev for d, dev in zip(self.mixtures, self.deviations) if d.kind == kind]
+
     def to_json(self) -> dict:
         return {
             "dim": self.dim,
@@ -304,11 +308,11 @@ def coin_flip_povm() -> Povm:
 def hexagon_theory() -> OperationalTheory:
     """The canonical instance used by all the no-go drivers.
 
-    Contains the six pure hexagon preparations, the five mixtures that each
-    produce the completely mixed state, the three antipodal-pair PVMs with
-    their uniform mixture and the coin-flip measurement, and the six
-    rotations with the y-axis projection channel declared as five distinct
-    convex mixtures of them.
+    Contains the six pure hexagon preparations, five mixtures of them whose
+    targets are ``I/2``, the three antipodal-pair PVMs whose uniform mixture
+    ``M`` is the coin flip, the coin flip ``Mtrivial``, and the six rotations
+    with the y-axis projection channel declared as five distinct convex
+    mixtures of them.  So ``deviations`` measures the paper's premises.
     """
     states = hexagon_states()
     rhos = {name: rho.matrix for name, rho in states.items()}
@@ -320,13 +324,12 @@ def hexagon_theory() -> OperationalTheory:
         MixtureDecl("prep", "abc", ((third, "a"), (third, "b"), (third, "c"))),
         MixtureDecl("prep", "ABC", ((third, "A"), (third, "B"), (third, "C"))),
     ]
-    preps = states | {d.target: DensityOperator(_weighted_sum(d, rhos)) for d in prep_mixture_decls}
+    center = DensityOperator(identity(2) / 2)
+    preps = states | {d.target: center for d in prep_mixture_decls}
 
     meas = {f"M{x}": Povm((Effect(rhos[x]), Effect(rhos[x.upper()]))) for x in "abc"}
     meas_mixture_decl = MixtureDecl("meas", "M", ((third, "Ma"), (third, "Mb"), (third, "Mc")))
-    outcomes = [{label: povm[k].matrix for label, povm in meas.items()} for k in range(2)]
-    meas["M"] = Povm(tuple(Effect(_weighted_sum(meas_mixture_decl, o)) for o in outcomes))
-    meas["Mtrivial"] = coin_flip_povm()
+    meas["M"] = meas["Mtrivial"] = coin_flip_povm()
 
     transf_mixture_decls = [
         MixtureDecl("transf", "T", ((half, "T0"), (half, "T180"))),

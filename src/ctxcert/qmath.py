@@ -166,6 +166,18 @@ class Povm:
     def __getitem__(self, k: int) -> Effect:
         return self.effects[k]
 
+    @classmethod
+    def from_json(cls, doc) -> "Povm":
+        """A list of effect matrices, as in a simulation report, or an object holding
+        one as ``effects``; ``TypeError`` or ``ValueError`` names an entry at fault."""
+        effects = doc.get("effects") if isinstance(doc, dict) else doc
+        if not isinstance(effects, list):
+            raise TypeError("field 'effects' is not a list of matrices")
+        return cls(tuple(
+            read_at(f"field 'effects', entry {i}", lambda m: Effect(matrix_from_json(m)), m)
+            for i, m in enumerate(effects)
+        ))
+
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -309,6 +321,14 @@ def channels_equal(a: KrausChannel, b: KrausChannel, tol: float = IDENTITY_TOL) 
 
 # ---------------------------------------------------------------------------
 # JSON conventions
+
+
+def read_at(where: str, read, value):
+    """``read(value)``, with ``where`` put in front of its ``TypeError`` or ``ValueError``."""
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def complex_to_json(z: complex) -> list[float]:

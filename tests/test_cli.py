@@ -469,6 +469,41 @@ class TestSimulateCommand:
         assert stderr.startswith("error: ")
         assert named.format(spec=f"{flag} @{path}") in stderr
 
+    @pytest.mark.parametrize(
+        "prep",
+        [
+            "0.5:a,0.5:A",
+            # The canonical ray of b is not a fixed point of its own normalization:
+            # read back, the amplitudes move by an ulp, and the Born values with them.
+            pytest.param("0.5:b,0.5:B", marks=pytest.mark.xfail(strict=True)),
+        ],
+    )
+    def test_report_fields_as_files_reproduce_the_report(self, capsys, tmp_path, prep):
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        argv = ["simulate-bb", "--povm", "b", "--samples", "1000", "--seed", "5"]
+        assert _run(capsys, *argv, "--prep", prep, "--out", str(first))[0] == 0
+        doc = json.loads(first.read_text())
+        for field in ("prep", "povm"):
+            (tmp_path / f"{field}.json").write_text(json.dumps(doc[field]))
+        files = ["--prep", f"@{tmp_path / 'prep.json'}", "--povm", f"@{tmp_path / 'povm.json'}"]
+        assert _run(capsys, *argv, *files, "--out", str(again))[0] == 0
+        assert again.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--prep", "--povm"])
+    @pytest.mark.parametrize(
+        "text, named",
+        [(None, "cannot read"), ('[{"weight": 1', "malformed JSON at line 1, column 14")],
+        ids=["missing", "truncated"],
+    )
+    def test_unreadable_file_exits_two_naming_the_flag(self, capsys, tmp_path, flag, text, named):
+        path = tmp_path / "spec.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["--prep", "a", "--povm", "a", "--samples", "10", flag, f"@{path}"]
+        code, _, stderr = _run(capsys, "simulate-bb", *argv)
+        assert code == 2
+        assert stderr.startswith(f"error: {flag} @{path}: {named}")
+
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(
             capsys, "simulate-bb", "--prep", "a", "--povm", "a", "--samples", "0"
@@ -575,6 +610,20 @@ class TestExitCodeContract:
         code, _, stderr = _run(capsys, "feasibility", str(toy_file))
         assert code == 4
         assert "verification failed: witness corrupted" in stderr
+
+    def test_deviating_witness_exits_four(self, capsys, monkeypatch, toy_file):
+        build = nogo._witness_model
+
+        def nudged(system, used):
+            witness = build(system, used)
+            values = witness.preparations["a"]
+            shifted = {**witness.preparations, "a": (values[0] + 1e-6, *values[1:])}
+            return nogo.Witness(witness.ontic_size, shifted)
+
+        monkeypatch.setattr(nogo, "_witness_model", nudged)
+        code, _, stderr = _run(capsys, "feasibility", str(toy_file))
+        assert code == 4
+        assert "verification failed: witness deviates from its system by 1.000e-06" in stderr
 
     def test_unwritable_output_exits_one(self, capsys, tmp_path):
         target = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -453,6 +453,13 @@ class TestPrepNogo:
                 zero.update(step.variables)
             assert zero == set(prep_cert.system.variables)
 
+    def test_mixture_premise_is_the_deviation_the_theory_measured(self, prep_cert):
+        """The five targets are declared as I/2, so the theory's own check
+        measures the premise, and the driver reports that measurement."""
+        theory = hexagon_theory()
+        premise = {p.name: p.max_deviation for p in prep_cert.premise_checks}
+        assert premise["mixtures-equal-center"] == max(theory.deviations_of("prep"))
+
     def test_byte_identical_across_runs(self, prep_cert):
         again = prep_nogo()
         assert json.dumps(prep_cert.to_json()) == json.dumps(again.to_json())
@@ -501,6 +508,11 @@ class TestMeasNogo:
         monkeypatch.setattr(nogo, "hexagon_theory", lambda: theory)
         with pytest.raises(VerificationError, match="'Mtrivial' is not a PVM"):
             meas_nogo()
+
+    def test_mixture_premise_is_the_deviation_the_theory_measured(self, meas_cert):
+        theory = hexagon_theory()
+        premise = {p.name: p.max_deviation for p in meas_cert.premise_checks}
+        assert premise["mixed-povm-equals-coin-povm"] == max(theory.deviations_of("meas"))
 
     def test_values_stay_in_the_allowed_set_and_never_split_evenly(self, meas_cert):
         allowed = {("1", "0"), ("0", "1"), ("2/3", "1/3"), ("1/3", "2/3")}
@@ -591,6 +603,14 @@ class TestGleason:
     def test_unnormalized_input_rejected(self):
         with pytest.raises(ValueError):
             gleason_contradiction(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+    def test_tol_governs_only_the_overlap(self):
+        """Normalization is checked at ``VALIDITY_TOL`` whatever ``tol`` is."""
+        vectors = hexagon_state_vectors()
+        a, b = (1 + 1e-10) * vectors["a"], (1 + 1e-10) * vectors["b"]
+        assert gleason_contradiction(a, b, tol=1e-12).contradiction
+        with pytest.raises(ValueError, match="state vectors must be normalized"):
+            gleason_contradiction((1 + 1e-7) * vectors["a"], vectors["b"], tol=1e-6)
 
 
 class TestOracleAgreement:
@@ -920,7 +940,7 @@ class TestGoldenCertificates:
         ),
         "hexagon-theory": (
             hexagon_theory,
-            "503f44d34cce0dcb3b682253fceb1438799425151ef073176c1d5b1e5dc4cfd8",
+            "e9a37e28432a5dacdea0b4ab4246039162a52db43fcd4fffa8f01f03d913e8ad",
         ),
         "bb-simulate": (
             _balanced_simulation,

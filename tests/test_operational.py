@@ -174,8 +174,12 @@ class TestHexagonTheory:
             assert abs(bloch_from_density(theory.preparations[label])[1]) < 1e-15
 
     def test_mixture_targets_all_equal_center(self, theory):
+        """The targets are declared as the paper's I/2 and coin flip, not
+        summed, so each mixture is checked against them."""
+        center = identity(2) / 2
         for label in ("aA", "bB", "cC", "abc", "ABC"):
-            assert np.abs(theory.preparations[label].matrix - identity(2) / 2).max() < 1e-12
+            assert np.array_equal(theory.preparations[label].matrix, center)
+        assert all(np.array_equal(e.matrix, center) for e in theory.measurements["M"].effects)
 
     def test_declared_weights_are_exact(self):
         decl = MixtureDecl("prep", "m", (("1/3", "a"), (Fraction(1, 3), "b"), (1 / 3, "a")))
