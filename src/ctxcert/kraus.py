@@ -97,23 +97,6 @@ class MixtureIdentityReport:
         }
 
 
-def _bloch_grid() -> list[np.ndarray]:
-    """Deterministic sample of the closed Bloch ball, axes included."""
-    points = [np.zeros(3)]
-    for x in (-0.5, 0.0, 0.5):
-        for y in (-0.5, 0.0, 0.5):
-            for z in (-0.5, 0.0, 0.5):
-                r = np.array([x, y, z])
-                if np.linalg.norm(r) <= 1.0:
-                    points.append(r)
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            r = np.zeros(3)
-            r[axis] = sign
-            points.append(r)
-    return points
-
-
 def verify_mixture_identities() -> MixtureIdentityReport:
     """Verify the five convex decompositions of the y-axis projection channel
     and its geometric action.
@@ -123,15 +106,17 @@ def verify_mixture_identities() -> MixtureIdentityReport:
     union of the components' Kraus operators, each scaled by the square root
     of its weight, against the channel's balanced two-element Kraus set.
     Separately, the channel is checked to send every Bloch vector
-    ``(x, y, z)`` on a ball grid to ``(0, y, 0)``.  Raises when any identity fails beyond
-    ``IDENTITY_TOL``, which would signal an implementation bug.
+    ``(x, y, z)`` to ``(0, y, 0)``, on the four points that fix its action on the ball.
+    Raises when any identity fails beyond ``IDENTITY_TOL``, which would signal an
+    implementation bug.
     """
     theory = hexagon_theory()
     identities = decomposition_deviations(theory)
     projection = theory.transformations["T"]
 
     worst = 0.0
-    for r in _bloch_grid():
+    # A qubit channel is affine on Bloch vectors: the origin and unit axes fix it on the ball.
+    for r in np.vstack([np.zeros(3), np.eye(3)]):
         rho_out = apply_channel(projection, density_from_bloch(r))
         expected = np.array([0.0, r[1], 0.0])
         worst = max(worst, float(np.abs(bloch_from_density(rho_out) - expected).max()))

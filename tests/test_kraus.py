@@ -11,6 +11,7 @@ from ctxcert.kraus import (
 )
 from ctxcert.operational import y_projection_channel
 from ctxcert.qmath import (
+    KrausChannel,
     apply_channel,
     bloch_from_density,
     channels_equal,
@@ -26,6 +27,11 @@ def _haarish_unitary(rng, n):
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
+
+def _random_qubit_channel(rng, count=3):
+    """A qubit channel whose ``count`` Kraus operators are the 2x2 blocks of a random isometry."""
+    isometry = _haarish_unitary(rng, 2 * count)[:, :2]
+    return KrausChannel(tuple(isometry.reshape(count, 2, 2)))
 
 
 def _pair_remix(theta):
@@ -143,6 +149,20 @@ class TestMixtureIdentities:
 
     def test_projection_property_on_the_grid(self, report):
         assert report.bloch_projection_max_dev <= 1e-12
+
+    def test_four_points_fix_a_qubit_channel_on_the_ball(self):
+        """The projection is checked on the origin and the unit axes: a qubit
+        channel's Bloch image of any ball point is their affine extension."""
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            channel = _random_qubit_channel(rng)
+            image = lambda r: bloch_from_density(apply_channel(channel, density_from_bloch(r)))
+            origin = image(np.zeros(3))
+            axes = np.array([image(e) for e in np.eye(3)]) - origin
+            for _ in range(10):
+                r = rng.normal(size=3)
+                r *= rng.uniform() ** (1 / 3) / np.linalg.norm(r)
+                assert np.abs(image(r) - (origin + r @ axes)).max() <= 1e-12
 
     def test_json_shape(self, report):
         doc = report.to_json()

@@ -46,9 +46,18 @@ from ctxcert.operational import (
     hexagon_theory,
     render_bloch_disk_svg,
 )
-from ctxcert.qmath import DensityOperator, Effect, Povm, identity
+from ctxcert.qmath import (
+    DensityOperator,
+    Effect,
+    KrausChannel,
+    Povm,
+    channel_action,
+    identity,
+    pure_density,
+)
 
 from feasibility_oracle import _rank, brute_force_feasible, pair_free_extreme_rays, random_system
+from test_kraus import _random_qubit_channel
 
 
 #: The preparation system of the hexagon: three antipodal pairs and the
@@ -581,6 +590,45 @@ class TestTransfNogo:
         with pytest.raises(VerificationError, match="unexpectedly feasible"):
             transf_nogo()
 
+    def test_disjoint_images_off_the_first_state_are_checked(self, monkeypatch):
+        """Conjugating every transformation by the quarter turn diag(1, i)
+        about z fixes the state a, so K1-K5 and the system still hold; off a
+        the half-turn pairs are no longer antipodal, and the premise refuses."""
+        theory = hexagon_theory()
+        turn = np.diag([1, 1j])
+        turned = {
+            label: KrausChannel(tuple(turn @ w @ turn.conj().T for w in channel.kraus_ops))
+            for label, channel in theory.transformations.items()
+        }
+        conjugated = OperationalTheory(
+            theory.preparations, turned, theory.measurements, theory.mixtures
+        )
+        assert max(conjugated.deviations_of("transf")) <= 1e-12
+        monkeypatch.setattr(nogo, "hexagon_theory", lambda: conjugated)
+        with pytest.raises(VerificationError, match="'disjoint-image'"):
+            transf_nogo()
+
+    def test_five_angles_fix_the_overlap_on_the_circle(self):
+        """``Tr(T_u(rho_phi) T_v(rho_phi))`` over z-x pure states is a degree-2
+        trigonometric polynomial, so its interpolant through the
+        ``DISJOINT_IMAGE_ANGLES`` values reproduces it at every angle."""
+        n = nogo.DISJOINT_IMAGE_ANGLES
+        degrees = np.arange(-(n // 2), n // 2 + 1)
+        rng = np.random.default_rng(23)
+
+        def overlap(u, v, phi):
+            rho = pure_density(np.array([math.cos(phi / 2), math.sin(phi / 2)])).matrix
+            return np.trace(channel_action(u, rho) @ channel_action(v, rho))
+
+        for _ in range(20):
+            u, v = (_random_qubit_channel(rng) for _ in range(2))
+            nodes = 2 * np.pi * np.arange(n) / n
+            values = np.array([overlap(u, v, phi) for phi in nodes])
+            coefficients = np.exp(-1j * np.outer(degrees, nodes)) @ values / n
+            for phi in 2 * np.pi * np.arange(36) / 36:
+                interpolant = coefficients @ np.exp(1j * degrees * phi)
+                assert abs(interpolant - overlap(u, v, phi)) <= 1e-12
+
 
 class TestGleason:
     def test_neighboring_states_force_one_quarter(self):
@@ -611,6 +659,14 @@ class TestGleason:
         assert gleason_contradiction(a, b, tol=1e-12).contradiction
         with pytest.raises(ValueError, match="state vectors must be normalized"):
             gleason_contradiction((1 + 1e-7) * vectors["a"], vectors["b"], tol=1e-6)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_both_vectors_meet_one_normalization_check(self, position):
+        """A vector of norm 1 + 6e-10 is refused by the same check in either position."""
+        vectors = [hexagon_state_vectors()[x] for x in "ab"]
+        vectors[position] = (1 + 6e-10) * vectors[position]
+        with pytest.raises(ValueError, match="state vectors must be normalized"):
+            gleason_contradiction(*vectors, tol=1e-12)
 
 
 class TestOracleAgreement:
@@ -896,7 +952,7 @@ class TestGoldenCertificates:
             "fb51e3944f23f56c8254453b36092460af4c38b9232b6e91ce277ae1ee6c64a1"
         )
         assert _sha256(transf_cert) == (
-            "f7d14172b23ad8745cd8dc7dfb179ae87c27b1ee1e3074340d2d8d0a859a6620"
+            "c6b680f14f54a5f30db77064e48886d4c5f4ab12d2eb9f28dffa383a324dcd6b"
         )
         assert _sha256(meas_cert) == (
             "c565492fd95c81109ec3f95c69f7e1b616da1f044b473b02cb4532ea21ec03df"
@@ -976,7 +1032,8 @@ class TestValidateOnce:
         "build, most",
         [
             (hexagon_theory, 20),
-            (transf_nogo, 63),
+            (transf_nogo, 26),
+            (verify_mixture_identities, 22),
             # Four stacked eigvalsh calls whatever the trial count: no per-trial spectra.
             pytest.param(lambda: bb_meas_noncontextuality_property(20, 7), 4, id="bb_meas_nc-20"),
             pytest.param(lambda: bb_meas_noncontextuality_property(100, 7), 4, id="bb_meas_nc-100"),
