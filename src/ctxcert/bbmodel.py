@@ -37,8 +37,8 @@ from .qmath import (
     check_effects,
     check_povms,
     complex_from_json,
+    fields_to_json,
     frozen_array,
-    matrix_to_json,
     normalized,
     pure_density,
     read_at,
@@ -191,16 +191,7 @@ class SimulationReport:
             for f, p, s in zip(self.frequencies, self.born, self.sigma_bounds())
         )
 
-    def to_json(self) -> dict:
-        return {
-            "prep": self.prep.to_json(),
-            "povm": [matrix_to_json(e.matrix) for e in self.povm.effects],
-            "n": self.n,
-            "seed": self.seed,
-            "frequencies": list(self.frequencies),
-            "born": list(self.born),
-            "max_abs_dev": self.max_abs_dev,
-        }
+    to_json = fields_to_json
 
 
 def _outcome_counts(u: np.ndarray, member: np.ndarray | None, bounds: np.ndarray) -> np.ndarray:
@@ -291,15 +282,7 @@ class PrepContextualityReport:
     total_variation: float
     preparation_contextual: bool
 
-    def to_json(self) -> dict:
-        return {
-            "first": self.first.to_json(),
-            "second": self.second.to_json(),
-            "operationally_equivalent": self.operationally_equivalent,
-            "shared_rays": self.shared_rays,
-            "total_variation": self.total_variation,
-            "preparation_contextual": self.preparation_contextual,
-        }
+    to_json = fields_to_json
 
 
 def bb_prep_contextuality_demo() -> PrepContextualityReport:
@@ -348,12 +331,7 @@ class MeasNoncontextualityReport:
         return self.max_abs_dev <= IDENTITY_TOL
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_abs_dev": self.max_abs_dev,
-            "holds": self.holds,
-        }
+        return {**fields_to_json(self), "holds": self.holds}
 
 
 def bb_meas_noncontextuality_property(trials: int = 100, seed: int = 7) -> MeasNoncontextualityReport:

@@ -40,26 +40,21 @@ class InputError(ValueError):
 
 
 def _render_text(doc, indent: int = 0) -> str:
+    """``doc`` as indented lines, ``key:`` before an object's entries and ``-`` before a
+    list's items; a nested object or list goes on the lines below, as ``{}`` or ``[]`` if empty."""
     pad = "  " * indent
-    if isinstance(doc, dict):
-        lines = []
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}{key}:")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}{key}: {value}")
-        return "\n".join(lines)
-    if isinstance(doc, list):
-        lines = []
-        for value in doc:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.append(_render_text(value, indent + 1))
-            else:
-                lines.append(f"{pad}- {value}")
-        return "\n".join(lines) if lines else f"{pad}[]"
-    return f"{pad}{doc}"
+    if not isinstance(doc, (dict, list)):
+        return f"{pad}{doc}"
+    if not doc:
+        return pad + json.dumps(doc)
+    is_object, lines = isinstance(doc, dict), []
+    pairs = [(f"{k}:", v) for k, v in doc.items()] if is_object else [("-", v) for v in doc]
+    for label, value in pairs:
+        if isinstance(value, (dict, list)):
+            lines += [f"{pad}{label}", _render_text(value, indent + 1)]
+        else:
+            lines.append(f"{pad}{label} {value}")
+    return "\n".join(lines)
 
 
 def _emit(payload: str, out: str | None, summary: str) -> None:
@@ -94,12 +89,13 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {e}") from None
 
 
-def _from_file(flag: str, spec: str, from_json):
-    """``from_json`` of the file that ``spec``, ``@FILE``, names; each error names the flag."""
-    try:
-        return from_json(_load_json(spec[1:]))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{flag} {spec}: {exc}") from None
+def _read_spec(flag: str, spec: str, from_json, from_names):
+    """``from_json`` of the file that ``spec`` names as ``@FILE``, else ``from_names(spec)``;
+    each error names the flag and the spec."""
+    from .qmath import read_at
+
+    read = (lambda s: from_json(_load_json(s[1:]))) if spec.startswith("@") else from_names
+    return read_at(f"{flag} {spec}", read, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +183,6 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
     from .bbmodel import BBPreparation, PureOnticState
     from .operational import hexagon_state_vectors
 
-    if spec.startswith("@"):
-        return _from_file("--prep", spec, BBPreparation.from_json)
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     vectors = hexagon_state_vectors()
     mixture = []
@@ -206,21 +200,19 @@ def _parse_prep_spec(spec: str) -> BBPreparation:
 
 def _parse_povm_spec(spec: str) -> Povm:
     from .operational import hexagon_theory
-    from .qmath import Povm
 
-    if spec.startswith("@"):
-        return _from_file("--povm", spec, Povm.from_json)
     if spec not in _POVMS:
         raise InputError(f"unknown POVM {spec!r}; choose a/b/c/mixed/trivial or @file")
     return hexagon_theory().measurements[_POVMS[spec]]
 
 
 def cmd_simulate_bb(args: argparse.Namespace) -> int:
-    from .bbmodel import bb_simulate
+    from .bbmodel import BBPreparation, bb_simulate
+    from .qmath import Povm
 
     try:
-        prep = _parse_prep_spec(args.prep)
-        povm = _parse_povm_spec(args.povm)
+        prep = _read_spec("--prep", args.prep, BBPreparation.from_json, _parse_prep_spec)
+        povm = _read_spec("--povm", args.povm, Povm.from_json, _parse_povm_spec)
         report = bb_simulate(prep, povm, args.samples, args.seed)
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
+from .nogo import VerificationError
 from .operational import OperationalTheory, hexagon_theory
 from .qmath import (
     IDENTITY_TOL,
@@ -107,8 +108,8 @@ def verify_mixture_identities() -> MixtureIdentityReport:
     of its weight, against the channel's balanced two-element Kraus set.
     Separately, the channel is checked to send every Bloch vector
     ``(x, y, z)`` to ``(0, y, 0)``, on the four points that fix its action on the ball.
-    Raises when any identity fails beyond ``IDENTITY_TOL``, which would signal an
-    implementation bug.
+    Raises ``nogo.VerificationError`` when any identity fails beyond ``IDENTITY_TOL``,
+    which would signal an implementation bug.
     """
     theory = hexagon_theory()
     identities = decomposition_deviations(theory)
@@ -123,7 +124,7 @@ def verify_mixture_identities() -> MixtureIdentityReport:
 
     report = MixtureIdentityReport(tuple(identities), worst)
     if report.max_choi_dev > IDENTITY_TOL or report.bloch_projection_max_dev > IDENTITY_TOL:
-        raise ArithmeticError(
+        raise VerificationError(
             f"projection-channel identities fail: choi {report.max_choi_dev:.3e}, "
             f"bloch {report.bloch_projection_max_dev:.3e}"
         )

@@ -42,8 +42,7 @@ from .qmath import (
     as_fraction,
     born_probability,
     channel_action,
-    complex_to_json,
-    matrix_to_json,
+    fields_to_json,
     pure_density,
     vector_norm,
 )
@@ -818,13 +817,7 @@ class OdUnsharpReport:
     outcome_deterministic: bool
     contradiction: bool
 
-    def to_json(self) -> dict:
-        return {
-            "povm": [matrix_to_json(e.matrix) for e in self.povm.effects],
-            "forced_values": list(self.forced_values),
-            "outcome_deterministic": self.outcome_deterministic,
-            "contradiction": self.contradiction,
-        }
+    to_json = fields_to_json
 
 
 def od_unsharp_contradiction() -> OdUnsharpReport:
@@ -907,13 +900,7 @@ class GleasonWitness:
     forced_value: float
     contradiction: bool
 
-    def to_json(self) -> dict:
-        return {
-            "psi": [complex_to_json(z) for z in self.psi],
-            "psi_prime": [complex_to_json(z) for z in self.psi_prime],
-            "forced_value": self.forced_value,
-            "contradiction": self.contradiction,
-        }
+    to_json = fields_to_json
 
 
 def gleason_contradiction(

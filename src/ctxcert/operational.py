@@ -32,6 +32,7 @@ from .qmath import (
     matrix_from_json,
     matrix_to_json,
     pure_density,
+    read_at,
     unitary_channel,
     unitary_rotation_y,
 )
@@ -168,7 +169,7 @@ class OperationalTheory:
                 for label, rho in self.preparations.items()
             ],
             "measurements": [
-                {"label": label, "effects": [matrix_to_json(e.matrix) for e in povm.effects]}
+                {"label": label, "effects": povm.to_json()}
                 for label, povm in self.measurements.items()
             ],
             "transformations": [
@@ -202,9 +203,10 @@ class OperationalTheory:
 
 def _json_tables(doc: dict) -> list[dict]:
     """The preparation, measurement and transformation tables of a theory
-    file, each label -> operator.  A label that is not a string, or an
-    operator entry of the wrong shape, raises ``TypeError`` naming the field
-    (and the label); a repeated label raises ``ValueError``."""
+    file, each label -> operator.  A label that is not a string raises
+    ``TypeError`` naming the field, and an operator entry that is malformed or
+    invalid raises ``TypeError`` or ``ValueError`` naming the field and the
+    label; a repeated label raises ``ValueError``."""
     builders = (
         ("preparations", "rho", lambda m: DensityOperator(matrix_from_json(m))),
         ("measurements", "effects", lambda es: Povm(tuple(map(Effect, map(matrix_from_json, es))))),
@@ -212,6 +214,11 @@ def _json_tables(doc: dict) -> list[dict]:
     )
     tables = []
     for field, key, build in builders:
+        def read(value, build=build):
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list, got {value!r}")
+            return build(value)
+
         table = {}
         for entry in _json_entries(doc, field, ("label", key)):
             label = entry["label"]
@@ -219,12 +226,7 @@ def _json_tables(doc: dict) -> list[dict]:
                 raise TypeError(f"theory field {field!r}: label {label!r} is not a string")
             if label in table:
                 raise ValueError(f"duplicate {field[:-1]} label {label!r}")
-            try:
-                if not isinstance(entry[key], list):
-                    raise TypeError(f"expected a list, got {entry[key]!r}")
-                table[label] = build(entry[key])
-            except TypeError as exc:
-                raise TypeError(f"theory field {field!r}: {key} of {label!r}: {exc}") from None
+            table[label] = read_at(f"theory field {field!r}: {key} of {label!r}", read, entry[key])
         tables.append(table)
     return tables
 

@@ -11,14 +11,16 @@ construction (Choi matrices, raw channel images) are read-only, unchecked.
 
 JSON convention shared by every module in this package: a complex number
 serializes as a two-element array ``[re, im]``, and a matrix as a row-major
-nested list of such pairs.  Entries read back must be JSON numbers
+nested list of such pairs.  A report writes its dataclass fields in
+declaration order (``fields_to_json``), and a POVM is written by
+``Povm.to_json`` alone.  Entries read back must be JSON numbers
 (``real_from_json``); exact coefficients and mixture weights are read by
 ``as_fraction`` alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -165,6 +167,9 @@ class Povm:
 
     def __getitem__(self, k: int) -> Effect:
         return self.effects[k]
+
+    def to_json(self) -> list:
+        return [matrix_to_json(e.matrix) for e in self.effects]
 
     @classmethod
     def from_json(cls, doc) -> "Povm":
@@ -334,6 +339,24 @@ def read_at(where: str, read, value):
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
     return [z.real, z.imag]
+
+
+def json_value(v):
+    """``v`` as JSON: an object with ``to_json`` by it, a complex vector as ``[re, im]``
+    pairs, a tuple or list entry by entry, and anything else (a number, string, bool or
+    None) as it is."""
+    if hasattr(v, "to_json"):
+        return v.to_json()
+    if isinstance(v, np.ndarray):
+        return [complex_to_json(z) for z in v]
+    if isinstance(v, (tuple, list)):
+        return [json_value(x) for x in v]
+    return v
+
+
+def fields_to_json(self) -> dict:
+    """A report's dataclass fields in declaration order, each by ``json_value``."""
+    return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def real_from_json(value) -> float:

@@ -177,6 +177,37 @@ class TestFeasibilityCommand:
         assert code == 2
         assert stderr.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            (
+                {"variables": ["a", "A"], "disjoint_pairs": [["a", "a"]]},
+                "a disjointness pair needs two distinct variables, got 'a'",
+            ),
+            (
+                {"variables": ["a", "b"], "disjoint_pairs": [["a", "b"], ["b", "a"]]},
+                "duplicate pair ('b', 'a')",
+            ),
+            (
+                {"variables": ["a"], "equality_groups": [{"a": 1, "z": 1}]},
+                "form references undeclared variable 'z'",
+            ),
+        ],
+        ids=["same-pair", "repeated-pair", "undeclared-form-variable"],
+    )
+    def test_refused_system_exits_two_naming_the_fault(self, capsys, tmp_path, doc, named):
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        code, _, stderr = _run(capsys, "feasibility", str(path))
+        assert code == 2
+        assert stderr.startswith(f"error: {named}")
+
+    def test_text_format_renders_an_empty_object_as_braces(self, capsys, toy_file):
+        code, stdout, _ = _run(capsys, "feasibility", str(toy_file), "--format", "text")
+        assert code == 0
+        assert "\n  measurements:\n    {}\n  transformations:\n    {}\n" in stdout
+        assert "\npremise_checks:\n  []\n" in stdout
+
     @staticmethod
     def _theory_file(tmp_path, mixtures, states=("a", "A", "b")):
         """A theory of the given hexagon states and the given
@@ -331,11 +362,33 @@ class TestFeasibilityCommand:
                 5,
                 "theory field 'preparations': rho of 'a': expected a list, got 5",
             ),
+            (
+                ("preparations", 2, "rho", 0, 0),
+                [2, 0],
+                "theory field 'preparations': rho of 'b': density operator must have unit trace",
+            ),
+            (
+                ("measurements", 0, "effects", 0, 1, 1),
+                [1.7, 0],
+                "theory field 'measurements': effects of 'Ma': effect spectrum",
+            ),
+            (
+                ("preparations", 0, "rho"),
+                matrix_to_json(np.eye(3) / 3),
+                "all procedures in a theory must share one dimension",
+            ),
+            (
+                ("transformations", 0, "kraus"),
+                [],
+                "theory field 'transformations': kraus of 'T0': "
+                "a channel needs at least one Kraus operator",
+            ),
         ],
         ids=[
             "component", "target", "kind", "preparations", "mixtures", "repeated-preparation",
             "repeated-measurement", "repeated-transformation", "list-label", "number-label",
             "list-target", "number-effects", "number-effect", "number-kraus", "number-rho",
+            "invalid-rho", "invalid-effect", "qutrit-rho", "no-kraus",
         ],
     )
     def test_theory_error_names_the_mixture_or_field(
@@ -451,12 +504,15 @@ class TestSimulateCommand:
                 {"effects": [5]},
                 "{spec}: field 'effects', entry 0: expected a matrix as a list of rows, got 5",
             ),
+            ("--prep", [], "{spec}: a preparation needs at least one component"),
+            ("--povm", [], "{spec}: a POVM needs at least one outcome"),
         ],
         # The first five are the ids pytest generates for the cases without ``named``.
         ids=[
             "--prep-doc0", "--prep-doc1", "--povm-doc2", "--prep-doc3", "--prep-doc4",
             "--prep-missing-weight", "--prep-number-entry", "--prep-number-state",
             "--povm-number-effects", "--prep-string-amplitude", "--povm-number-effect",
+            "--prep-empty", "--povm-empty",
         ],
     )
     def test_malformed_file_exits_two(self, capsys, tmp_path, flag, doc, named):
@@ -503,6 +559,21 @@ class TestSimulateCommand:
         code, _, stderr = _run(capsys, "simulate-bb", *argv)
         assert code == 2
         assert stderr.startswith(f"error: {flag} @{path}: {named}")
+
+    @pytest.mark.parametrize(
+        "flag, spec, named",
+        [
+            ("--prep", "x:a", "could not convert string to float: 'x'"),
+            ("--prep", "0.5:z", "unknown state 'z'"),
+            ("--povm", "q", "unknown POVM 'q'"),
+        ],
+        ids=["--prep-weight", "--prep-state", "--povm-name"],
+    )
+    def test_inline_spec_error_names_the_flag(self, capsys, flag, spec, named):
+        argv = ["--prep", "a", "--povm", "a", "--samples", "10", flag, spec]
+        code, _, stderr = _run(capsys, "simulate-bb", *argv)
+        assert code == 2
+        assert stderr.startswith(f"error: {flag} {spec}: {named}")
 
     def test_bad_sample_count_exits_two(self, capsys):
         code, _, _ = _run(

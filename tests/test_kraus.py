@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from ctxcert import kraus
 from ctxcert.kraus import (
     RemixMatrix,
     remix_kraus,
     verify_mixture_identities,
     with_zero_ops,
 )
+from ctxcert.nogo import VerificationError
 from ctxcert.operational import y_projection_channel
 from ctxcert.qmath import (
     KrausChannel,
@@ -163,6 +165,12 @@ class TestMixtureIdentities:
                 r = rng.normal(size=3)
                 r *= rng.uniform() ** (1 / 3) / np.linalg.norm(r)
                 assert np.abs(image(r) - (origin + r @ axes)).max() <= 1e-12
+
+    def test_failed_projection_raises_verification_error(self, monkeypatch):
+        shifted = lambda rho: bloch_from_density(rho) + 1e-9
+        monkeypatch.setattr(kraus, "bloch_from_density", shifted)
+        with pytest.raises(VerificationError, match="projection-channel identities fail"):
+            verify_mixture_identities()
 
     def test_json_shape(self, report):
         doc = report.to_json()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from ctxcert.qmath import (
     complex_from_json,
     complex_to_json,
     density_from_bloch,
+    fields_to_json,
     hermitian_spectrum,
     identity,
     matrix_from_json,
@@ -371,6 +373,29 @@ class TestJson:
         assert complex_from_json(complex_to_json(z)) == z
         m = np.array([[1.0, 2.0 + 1.0j], [0.0, -1.0j]])
         assert np.abs(matrix_from_json(matrix_to_json(m)) - m).max() == 0.0
+
+    def test_povm_roundtrip(self):
+        states = hexagon_states()
+        povm = Povm((Effect(states["b"].matrix), Effect(states["B"].matrix)))
+        back = Povm.from_json(povm.to_json())
+        assert all(np.array_equal(e.matrix, f.matrix) for e, f in zip(back.effects, povm.effects))
+
+    def test_fields_to_json_writes_each_field_in_declaration_order(self):
+        @dataclass(frozen=True)
+        class Report:
+            psi: np.ndarray
+            povm: Povm
+            values: tuple
+            note: str | None
+
+            to_json = fields_to_json
+
+        povm = Povm((Effect(identity(2) / 2), Effect(identity(2) / 2)))
+        doc = Report(np.array([0.5, 1j]), povm, (0.25, (1, True)), None).to_json()
+        assert list(doc) == ["psi", "povm", "values", "note"]
+        assert doc["psi"] == [[0.5, 0.0], [0.0, 1.0]]
+        assert doc["povm"] == povm.to_json() == [matrix_to_json(identity(2) / 2)] * 2
+        assert doc["values"] == [0.25, [1, True]] and doc["note"] is None
 
     @pytest.mark.parametrize("value", [True, "1", None, 10**400])
     def test_only_representable_numbers_are_read(self, value):
