@@ -47,8 +47,11 @@ def _render_text(doc, indent: int = 0) -> str:
         return f"{pad}{doc}"
     if not doc:
         return pad + json.dumps(doc)
-    is_object, lines = isinstance(doc, dict), []
-    pairs = [(f"{k}:", v) for k, v in doc.items()] if is_object else [("-", v) for v in doc]
+    if isinstance(doc, dict):
+        pairs = [(f"{k}:", v) for k, v in doc.items()]
+    else:
+        pairs = [("-", v) for v in doc]
+    lines = []
     for label, value in pairs:
         if isinstance(value, (dict, list)):
             lines += [f"{pad}{label}", _render_text(value, indent + 1)]
