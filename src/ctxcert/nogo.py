@@ -51,15 +51,15 @@ if TYPE_CHECKING:
     from .ontomodel import IndicatorSet
 
 #: Hard ceiling on the complementarity pairs, hence on the 2**pairs zero patterns.  With both
-#: bounds lifted, the 2k-gon certifies in 0.05, 0.05, 0.32, 0.52 and 2.8 s for k = 8..12 (one
-#: CPU of a shared machine, Python 3.11, with serialization); k = 12 exceeds MAX_STAGE1_WORK.
+#: bounds lifted, the 2k-gon certifies in 0.016, 0.020, 0.083, 0.098 and 0.66 s for k = 8..12
+#: (one CPU of a shared machine, Python 3.11, serialized); k = 12 exceeds MAX_STAGE1_WORK.
 MAX_DISJOINT_PAIRS = 11
 
 #: Hard ceiling on one stage-1 cut: current rays times positive rays times negative rays,
-#: the candidate pairs times the rays each adjacency test may scan.  The 2k-gon's largest
-#: cut is 2**(3k - 2), 2.1e9 for k = 11.  Systems with no pairs, n variables and n/2 + 1
-#: forms with coefficients 1-5 certify or exceed the bound within 2 s for n <= 32 (same
-#: machine); without it, such systems with n = 24 and 28 took 23 and 69 s.
+#: the candidate pairs times the rays each adjacency test covers in one bit-parallel pass.
+#: The 2k-gon's largest cut is 2**(3k - 2), 2.1e9 for k = 11.  Systems with no pairs, n
+#: variables and n/2 + 1 forms with coefficients 1-5 certify or exceed the bound within 1.2 s
+#: for n <= 32 (same machine); without it, such systems with n = 24 and 28 took 14 and 367 s.
 MAX_STAGE1_WORK = 4 * 10**9
 
 #: Tolerance of the float re-check of a Feasible witness (``_verify_witness``); stage 2 itself
@@ -304,6 +304,35 @@ def _integer_forms(system: ConstraintSystem) -> list[list[int]]:
     return rows
 
 
+def _pack(masks: Sequence[int], n: int) -> tuple[int, int]:
+    """Pack n-bit masks into one int, mask i in the (n + 1)-bit field from bit
+    ``(n + 1) * i``, whose top bit stays clear.  Returns that int and its field ones,
+    the int with bit ``(n + 1) * i`` set for each mask."""
+    w, packed = n + 1, 0
+    for m in reversed(masks):
+        packed = packed << w | m
+    return packed, ((1 << w * len(masks)) - 1) // ((1 << w) - 1)
+
+
+def _misses(packed: int, ones: int, n: int, query: int) -> int:
+    """The top bit, bit n of its field, of each mask in ``packed`` that misses ``query``.
+    Each field's top bit minus its bits in the query keeps that top bit exactly when
+    there are none, and borrows from no other field (Knuth, TAOCP 4A, 7.1.3)."""
+    high = ones << n
+    return (high - (packed & query * ones)) & high
+
+
+def _fields(bits: int, n: int) -> list[int]:
+    """The indices, increasing, of the fields whose bit n is set in ``bits``.  They are
+    read from its binary digits, one pass over the int however many fields are set."""
+    flags = bin(bits >> n)[:1:-n - 1]  # flags[i] is bit n of field i
+    found, i = [], flags.find("1")
+    while i >= 0:
+        found.append(i)
+        i = flags.find("1", i + 1)
+    return found
+
+
 def _pattern_extreme_rays(
     system: ConstraintSystem, forms: list[list[int]]
 ) -> list[tuple[int, ...]]:
@@ -319,13 +348,17 @@ def _pattern_extreme_rays(
     ray p and a negative ray q whose support union holds no other ray's support are
     adjacent and give ``v(p)*q - v(q)*p``, divided by its gcd.  Its support is that
     union, so rays holding a pair have no pair-free descendant and are never made; as
-    they lie inside no pair-free union, the adjacency test stays exact.  Raises
-    ``ValueError`` when a cut would cost more than ``MAX_STAGE1_WORK``.
+    they lie inside no pair-free union, the adjacency test stays exact.  Both tests on
+    supports are bit-parallel over the cut's packed supports (``_misses``): the negative
+    rays that avoid p's partners, and the count of rays inside the union.  Raises
+    ``ValueError`` when a cut would cost more than ``MAX_STAGE1_WORK``, still counted as
+    rays times candidate pairs.
 
     A zero pattern's cone is the face of this cone on which its zeros vanish, so its
     extreme rays are these rays whose support avoids them.
     """
     n = len(system.variables)
+    full = (1 << n) - 1
     index = {v: i for i, v in enumerate(system.variables)}
     partners = [0] * n
     for u, v in system.disjoint_pairs:
@@ -344,19 +377,24 @@ def _pattern_extreme_rays(
                 f"stage-1 cut {cut} would test {len(positive)} x {len(negative)} ray pairs "
                 f"against {len(rays)} rays, over the work bound of {MAX_STAGE1_WORK}"
             )
-        masks = [ray[0] for ray in rays]
         kept = [ray for ray, x in zip(rays, values) if x == 0]
-        for (p_mask, p_partners, p), p_value in positive:
-            for (q_mask, q_partners, q), q_value in negative:
-                union = p_mask | q_mask
-                # Two rays spanning a 2-face have at most (rows so far) + 2 variables.
-                if p_partners & q_mask or union.bit_count() > cut + 2:
-                    continue
-                if any(m | union == union and m != p_mask and m != q_mask for m in masks):
-                    continue
-                vec = [p_value * b - q_value * a for a, b in zip(p, q)]
-                g = math.gcd(*vec)
-                kept.append((union, p_partners | q_partners, [x // g for x in vec]))
+        if positive and negative:  # pack only cuts that make rays
+            masks, ones = _pack([ray[0] for ray in rays], n)
+            q_masks, q_ones = _pack([ray[0] for ray, _ in negative], n)
+            for (p_mask, p_partners, p), p_value in positive:
+                for j in _fields(_misses(q_masks, q_ones, n, p_partners), n):
+                    (q_mask, q_partners, q), q_value = negative[j]
+                    union = p_mask | q_mask
+                    # Two rays spanning a 2-face have at most (rows so far) + 2 variables, and
+                    # they are adjacent iff no other ray lies inside their union.  Extreme rays
+                    # have distinct supports, so then p and q alone miss its complement.
+                    if union.bit_count() > cut + 2:
+                        continue
+                    if _misses(masks, ones, n, full ^ union).bit_count() > 2:
+                        continue
+                    vec = [p_value * b - q_value * a for a, b in zip(p, q)]
+                    g = math.gcd(*vec)
+                    kept.append((union, p_partners | q_partners, [x // g for x in vec]))
         rays = kept
     rays.sort(key=lambda ray: (ray[0].bit_count(), [i for i in range(n) if ray[0] >> i & 1]))
     return [tuple(vec) for _, _, vec in rays]
@@ -366,10 +404,27 @@ def _pattern_extreme_rays(
 # Human-readable all-zero derivations.
 
 
+def _sign_table(forms: list[list[int]], n: int) -> tuple:
+    """The table ``_derive_all_zero`` reads: the form pairs (i, j) in order; for each,
+    the variables where form i minus form j is positive and where it is negative; those
+    two kinds of mask packed one pair per field (``_pack``); and each form's support."""
+    pairs = list(itertools.combinations(range(len(forms)), 2))
+    signs = []
+    for i, j in pairs:
+        positive = negative = 0
+        for b, (x, y) in enumerate(zip(forms[i], forms[j])):
+            if x > y:
+                positive |= 1 << b
+            elif x < y:
+                negative |= 1 << b
+        signs.append((positive, negative))
+    packs = [_pack([sign[s] for sign in signs], n) for s in (0, 1)]
+    supports = [sum(1 << b for b, c in enumerate(form) if c) for form in forms]
+    return pairs, packs, supports
+
+
 def _derive_all_zero(
-    system: ConstraintSystem,
-    forced_zero: frozenset[str],
-    table: tuple[dict[tuple[int, int], tuple[int, int]], list[int]],
+    system: ConstraintSystem, zero: int, table: tuple
 ) -> tuple[bool, tuple[DerivationStep, ...]]:
     """Iteratively eliminate variables that the pattern forces to zero.
 
@@ -378,76 +433,43 @@ def _derive_all_zero(
     signed combination of variables, those variables vanish; the special
     case of a single shared variable with clashing coefficients is recorded
     as such, and a form that has already reduced to zero annihilates any
-    other uniformly signed form.  Each sweep reads the signs of the form
-    differences and the form supports as bitmasks from ``table``, built once
-    per certification by ``pointwise_feasibility``, and the first form pair
-    with a move wins.  Returns whether every free variable was eliminated,
-    plus the recorded steps.
+    other uniformly signed form.  ``zero`` is the bitmask of the pattern's
+    zeros and ``table`` is ``_sign_table``'s, which ``pointwise_feasibility``
+    builds on its first all-zero row.  Each sweep finds the first form pair
+    with a move at once: its field is the lowest where exactly one of the
+    packed positive and negative parts of the difference meets the live
+    variables (``_misses``).  Returns whether every free variable was
+    eliminated, plus the recorded steps.
     """
-    signs, supports = table
+    pairs, ((positives, ones), (negatives, _)), supports = table
     names = system.variables
-    everything = (1 << len(names)) - 1
-    zero = sum(1 << b for b, v in enumerate(names) if v in forced_zero)
+    n = len(names)
+    everything = (1 << n) - 1
     steps: list[DerivationStep] = []
     while True:
         live = everything & ~zero
-        for (i, j), (positive, negative) in signs.items():
-            positive &= live
-            negative &= live
-            if bool(positive) == bool(negative):
-                continue  # equal reduced forms, or a difference of mixed signs
-            diff = positive | negative
-            vars_ = tuple(sorted(names[b] for b in range(len(names)) if diff >> b & 1))
-            left, right = supports[i] & live, supports[j] & live
-            if len(vars_) == 1 and diff & left and diff & right:
-                v = vars_[0]
-                left_coeff = dict(system.equality_groups[i])[v]
-                right_coeff = dict(system.equality_groups[j])[v]
-                steps.append(
-                    DerivationStep(
-                        kind="coefficient-clash",
-                        variables=(v,),
-                        left_form=i,
-                        right_form=j,
-                        left_coeff=str(left_coeff),
-                        right_coeff=str(right_coeff),
-                        detail=(
-                            f"equating forms {i} and {j} leaves ({left_coeff})*{v} = "
-                            f"({right_coeff})*{v}, so {v} = 0"
-                        ),
-                    )
-                )
-            elif not left or not right:
-                empty, other = (i, j) if not left else (j, i)
-                steps.append(
-                    DerivationStep(
-                        kind="vanishing-form",
-                        variables=vars_,
-                        left_form=empty,
-                        right_form=other,
-                        detail=(
-                            f"form {empty} reduces to 0, so form {other} = 0 and "
-                            f"nonnegativity forces {', '.join(vars_)} = 0"
-                        ),
-                    )
-                )
-            else:
-                steps.append(
-                    DerivationStep(
-                        kind="sign-elimination",
-                        variables=vars_,
-                        left_form=i,
-                        right_form=j,
-                        detail=(
-                            f"forms {i} and {j} differ by a uniformly signed combination "
-                            f"of {', '.join(vars_)}, so these vanish"
-                        ),
-                    )
-                )
-            zero |= diff
-            break
-        else:
+        moves = _misses(positives, ones, n, live) ^ _misses(negatives, ones, n, live)
+        if not moves:
             return zero == everything, tuple(steps)
+        k = (moves & -moves).bit_length() // (n + 1) - 1
+        (i, j), diff = pairs[k], (positives | negatives) >> (n + 1) * k & live
+        vars_ = tuple(sorted(names[b] for b in range(n) if diff >> b & 1))
+        listed = ", ".join(vars_)
+        left, right = supports[i] & live, supports[j] & live
+        if len(vars_) == 1 and diff & left and diff & right:
+            v = vars_[0]
+            a, b = (dict(system.equality_groups[f])[v] for f in (i, j))
+            detail = f"equating forms {i} and {j} leaves ({a})*{v} = ({b})*{v}, so {v} = 0"
+            step = DerivationStep("coefficient-clash", vars_, i, j, detail, str(a), str(b))
+        elif not left or not right:
+            i, j = (i, j) if not left else (j, i)  # form i has reduced to 0
+            detail = f"form {i} reduces to 0, so form {j} = 0 and nonnegativity forces {listed} = 0"
+            step = DerivationStep("vanishing-form", vars_, i, j, detail)
+        else:
+            detail = f"forms {i} and {j} differ by a uniformly signed combination of {listed}"
+            step = DerivationStep("sign-elimination", vars_, i, j, detail + ", so these vanish")
+        steps.append(step)
+        zero |= diff
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +512,8 @@ def linprog(rays: Sequence[Sequence[int]]) -> StageTwoResult:
     so its minimum is 0 exactly when the system is feasible.
 
     On the largest systems the bounds admit, the even 2k-gon takes 10 pivots and
-    5.5 ms at k = 8 (256 rays, a 23 ms certificate) and 12 pivots and 27 ms at
-    k = 10 (1024 rays, a 0.26 s certificate), against 5.6 and 13 ms for scipy's
+    3.6 ms at k = 8 (256 rays, a 9.9 ms certificate) and 12 pivots and 19 ms at
+    k = 10 (1024 rays, a 67 ms certificate), against 3.2 and 8.4 ms for scipy's
     HiGHS on the same programs (one CPU of a shared machine, Python 3.11).
     """
     n_vars = len(rays[0])
@@ -547,21 +569,16 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
 
     forms = _integer_forms(system)
     all_rays = _pattern_extreme_rays(system, forms)
+    n = len(system.variables)
     index = {v: b for b, v in enumerate(system.variables)}
-    # The table _derive_all_zero reads: for each form pair (i, j), the variables where
-    # form i minus form j is positive and where it is negative; each form's support.
-    signs = {}
-    for i, j in itertools.combinations(range(len(forms)), 2):
-        diff = [a - b for a, b in zip(forms[i], forms[j])]
-        signs[i, j] = tuple(sum(1 << b for b, d in enumerate(diff) if s * d > 0) for s in (1, -1))
-    table = (signs, [sum(1 << b for b, c in enumerate(form) if c) for form in forms])
-    supports = [sum(1 << b for b, x in enumerate(ray) if x) for ray in all_rays]
+    supports, ones = _pack([sum(1 << b for b, x in enumerate(ray) if x) for ray in all_rays], n)
+    table = None  # _derive_all_zero's, built on the first all-zero row
     cases: list[CaseRow] = []
     used: dict[int, None] = {}  # indices into all_rays, in order of first use
     for bits in itertools.product((0, 1), repeat=n_pairs):
         forced = frozenset(system.disjoint_pairs[i][bits[i]] for i in range(n_pairs))
         zeros = sum(1 << index[v] for v in forced)
-        pattern_rays = [i for i, sup in enumerate(supports) if not sup & zeros]
+        pattern_rays = _fields(_misses(supports, ones, n, zeros), n)
         if pattern_rays:
             vec = all_rays[pattern_rays[0]]
             f = next(x for x in vec if x)  # the row shows the ray with first nonzero entry 1
@@ -569,7 +586,8 @@ def pointwise_feasibility(system: ConstraintSystem) -> Certificate:
             cases.append(CaseRow(bits, tuple(sorted(forced)), "ray", ray=ray))
             used.update(dict.fromkeys(pattern_rays))
         else:
-            complete, steps = _derive_all_zero(system, forced, table)
+            table = table or _sign_table(forms, n)
+            complete, steps = _derive_all_zero(system, zeros, table)
             row = CaseRow(bits, tuple(sorted(forced)), "all-zero", steps=steps if complete else ())
             cases.append(row)
 

@@ -402,6 +402,51 @@ class TestStageOne:
             several += len(rays) > 1
         assert several >= 100
 
+    @pytest.mark.parametrize("n, n_forms", [(80, 2), (70, 3)])
+    def test_wide_unpaired_systems_match_the_reference(self, n, n_forms):
+        # Supports of n bits pack into fields wider than a machine word, and the pattern's
+        # lookup (and with three forms the second cut) reads over 1000 of them at once.
+        # The third form differs from the first on ten variables only, so that cut stays
+        # small; the reference tries every support of up to rank + 1 = 3 variables.
+        rng = np.random.default_rng(1)
+        names = [f"x{i}" for i in range(n)]
+        forms = [dict(zip(names, rng.integers(1, 6, size=n).tolist())) for _ in range(2)]
+        if n_forms == 3:
+            forms.append(forms[0] | dict(zip(names[:10], rng.integers(1, 6, size=10).tolist())))
+        system = ConstraintSystem(names, (), forms)
+        rays = nogo._pattern_extreme_rays(system, nogo._integer_forms(system))
+        assert len(rays) > 1000
+        assert [_first_one(ray) for ray in rays] == pair_free_extreme_rays(system)
+
+    @pytest.mark.parametrize("forms", [[], [{"x0": 1, "x2": "1/3"}]], ids=["no-form", "one-form"])
+    def test_a_system_without_a_cut_keeps_the_unit_rays(self, forms):
+        system = ConstraintSystem(["x0", "x1", "x2"], [("x0", "x1")], forms)
+        integer_forms = nogo._integer_forms(system)
+        rays = nogo._pattern_extreme_rays(system, integer_forms)
+        assert rays == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert [_first_one(ray) for ray in rays] == pair_free_extreme_rays(system)
+        assert nogo._sign_table(integer_forms, 3)[:2] == ([], [(0, 0), (0, 0)])
+        cert = pointwise_feasibility(system)
+        assert cert.feasible and {row.conclusion for row in cert.cases} == {"ray"}
+
+    def test_the_sign_table_is_built_once_on_the_first_all_zero_row(self, monkeypatch):
+        tables = _counting(monkeypatch, "_sign_table")
+        derived = _counting(monkeypatch, "_derive_all_zero")
+        rng = np.random.default_rng(301)
+        systems = [random_system(rng) for _ in range(40)] + [_prep_system(), _polygon_system(5)]
+        built = 0
+        for system in systems:
+            tables.clear()
+            derived.clear()
+            cases = pointwise_feasibility(system).cases
+            rows = [row for row in cases if row.conclusion == "all-zero"]
+            assert len(tables) == (1 if rows else 0)
+            built += bool(rows)
+            # Each derivation gets its pattern's zeros as a bitmask over the variables.
+            masks = [sum(1 << system.variables.index(v) for v in row.zeroed) for row in rows]
+            assert [call[1] for call in derived] == masks
+        assert 2 <= built < len(systems)
+
 
 @pytest.fixture(scope="module")
 def prep_cert():
@@ -941,6 +986,7 @@ class TestGoldenCertificates:
         6: "fd1fb6322e65bae5b88dda27bf168fafb33a41c471bac51784295ecb158218f6",
         7: "b78ebf772ac16d525eefcadb448364db17a0ef784be6b67eb279a4e46133733a",
         8: "d03417d1e1e0a033894c27cb1232bd0bd81cd8a937a25c06c2900adf76755b1a",
+        9: "5d596a1f5eafd1a4cba4f4b5de1d42e3721c2aa2906fa0c7269e67c8f23ab3eb",
     }
 
     @pytest.mark.parametrize("k", sorted(POLYGON))
